@@ -5,6 +5,14 @@ ndarray, elementary ops record their parents and a backward closure, and
 `Tensor.backward()` walks the graph in reverse topological order.  No
 framework, no GPU, all math in double precision.  Graph recording is
 skipped inside `no_grad()` and for subgraphs that touch no parameter.
+
+The op set: `add`, `mul` and `matmul` (also as `+ - * @`); elementwise
+`tanh`, `sigmoid`, `softplus`, `log` and `clip`; `tsum`, `transpose` and
+`reshape`; `take` (also as `x[idx]`), the one indexing op, for an int, a
+slice, a tuple of them or an integer list; `cat`, the one concatenation
+op, along an existing axis, and `stack` along a new leading one;
+`scatter` into exact zeros; `softmax`; and `custom` for fused ops with
+analytic gradients.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
 
 
-def as_tensor(x) -> Tensor:
+def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -119,8 +127,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: g may be a view of another node's grad or a read-only
+        # broadcast, and this grad is later updated in place
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -136,7 +147,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic ---------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     val = a.data + b.data
 
     def bwd(g):
@@ -147,7 +158,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     val = a.data * b.data
 
     def bwd(g):
@@ -158,7 +169,7 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     val = a.data @ b.data
 
     def bwd(g):
@@ -184,14 +195,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(val, (a, b), bwd)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    return matmul(a, b)
-
-
 # -- elementwise nonlinearities -----------------------------------------
 
 def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
     val = np.tanh(x.data)
 
     def bwd(g):
@@ -201,7 +208,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
     val = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-x.data)),
                    np.exp(x.data) / (1.0 + np.exp(x.data)))
 
@@ -212,7 +219,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
     val = np.logaddexp(0.0, x.data)
 
     def bwd(g):
@@ -222,18 +229,8 @@ def softplus(x: Tensor) -> Tensor:
     return _node(val, (x,), bwd)
 
 
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    val = np.exp(x.data)
-
-    def bwd(g):
-        _accum(x, g * val)
-
-    return _node(val, (x,), bwd)
-
-
 def log(x: Tensor) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
     val = np.log(x.data)
 
     def bwd(g):
@@ -244,7 +241,7 @@ def log(x: Tensor) -> Tensor:
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp; gradient passes through only where lo < x < hi."""
-    x = as_tensor(x)
+    x = _as_tensor(x)
     val = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
 
@@ -257,51 +254,37 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 # -- reductions and reshaping -------------------------------------------
 
 def tsum(x: Tensor, axis=None) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
     val = x.data.sum(axis=axis)
 
     def bwd(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+            _accum(x, np.broadcast_to(g, x.data.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return _node(val, (x,), bwd)
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    parts = [as_tensor(p) for p in parts]
-    val = np.concatenate([p.data for p in parts])
-    sizes = [p.data.shape[0] for p in parts]
+def cat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate tensors of equal rank along an existing axis."""
+    parts = [_as_tensor(p) for p in parts]
+    val = np.concatenate([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * axis
 
     def bwd(g):
         off = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[off:off + n])
+        for p in parts:
+            n = p.data.shape[axis]
+            _accum(p, g[lead + (slice(off, off + n),)])
             off += n
-
-    return _node(val, tuple(parts), bwd)
-
-
-def hstack2d(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along columns (equal row counts)."""
-    parts = [as_tensor(p) for p in parts]
-    val = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.data.shape[1] for p in parts]
-
-    def bwd(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[:, off:off + w])
-            off += w
 
     return _node(val, tuple(parts), bwd)
 
 
 def stack(rows: list[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
-    rows = [as_tensor(r) for r in rows]
+    rows = [_as_tensor(r) for r in rows]
     val = np.stack([r.data for r in rows])
 
     def bwd(g):
@@ -311,24 +294,8 @@ def stack(rows: list[Tensor]) -> Tensor:
     return _node(val, tuple(rows), bwd)
 
 
-def vstack(parts: list[Tensor]) -> Tensor:
-    """Row-concatenate a mix of 1-D (single row) and 2-D tensors."""
-    parts = [as_tensor(p) for p in parts]
-    val = np.vstack([p.data for p in parts])
-    counts = [1 if p.data.ndim == 1 else p.data.shape[0] for p in parts]
-
-    def bwd(g):
-        off = 0
-        for p, n in zip(parts, counts):
-            piece = g[off:off + n]
-            _accum(p, piece[0] if p.data.ndim == 1 else piece)
-            off += n
-
-    return _node(val, tuple(parts), bwd)
-
-
 def transpose(x: Tensor) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
 
     def bwd(g):
         _accum(x, g.T)
@@ -337,7 +304,7 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
 
     def bwd(g):
         _accum(x, g.reshape(x.data.shape))
@@ -345,10 +312,16 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(x.data.reshape(shape), (x,), bwd)
 
 
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows x[idx] (embedding lookup); backward scatter-adds."""
-    x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
+def take(x: Tensor, idx) -> Tensor:
+    """x[idx] for an int, a slice, a tuple of them, or an integer list.
+
+    Backward adds the output grad into x.grad[idx]; only an integer list,
+    whose entries may repeat, needs the slower unbuffered np.add.at.
+    """
+    x = _as_tensor(x)
+    fancy = isinstance(idx, (list, np.ndarray))
+    if fancy:
+        idx = np.asarray(idx, dtype=np.intp)
     val = x.data[idx]
 
     def bwd(g):
@@ -356,82 +329,15 @@ def take_rows(x: Tensor, idx) -> Tensor:
             return
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        if fancy:
+            np.add.at(x.grad, idx, g)
+        else:
+            x.grad[idx] += g
 
     return _node(val, (x,), bwd)
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    """Single row of a 2-D tensor as a 1-D tensor."""
-    x = as_tensor(x)
-    val = x.data[i]
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[i] += g
-
-    return _node(val, (x,), bwd)
-
-
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    val = x.data[start:stop]
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[start:stop] += g
-
-    return _node(val, (x,), bwd)
-
-
-def col(x: Tensor, j: int) -> Tensor:
-    """Column j of a 2-D tensor as a 1-D tensor."""
-    x = as_tensor(x)
-    val = x.data[:, j]
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, j] += g
-
-    return _node(val, (x,), bwd)
-
-
-def cols(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    val = x.data[:, start:stop]
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, start:stop] += g
-
-    return _node(val, (x,), bwd)
-
-
-def element(x: Tensor, idx) -> Tensor:
-    """Scalar element x[idx] (idx a tuple for >1-D tensors)."""
-    x = as_tensor(x)
-    val = np.asarray(x.data[idx])
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[idx] += g
-
-    return _node(val, (x,), bwd)
+Tensor.__getitem__ = take
 
 
 def scatter(values: Tensor, idx, size: int) -> Tensor:
@@ -441,7 +347,7 @@ def scatter(values: Tensor, idx, size: int) -> Tensor:
     (rows x size).  Positions outside `idx` are exactly zero, which is how
     masked attention keeps hard zeros off its support set.
     """
-    values = as_tensor(values)
+    values = _as_tensor(values)
     idx = np.asarray(idx, dtype=np.intp)
     if values.data.ndim == 1:
         val = np.zeros(size, dtype=np.float64)
@@ -459,7 +365,7 @@ def scatter(values: Tensor, idx, size: int) -> Tensor:
 # -- softmax family ------------------------------------------------------
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
+    x = _as_tensor(x)
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     val = e / e.sum(axis=axis, keepdims=True)
@@ -467,18 +373,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def bwd(g):
         inner = (g * val).sum(axis=axis, keepdims=True)
         _accum(x, val * (g - inner))
-
-    return _node(val, (x,), bwd)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    val = z - lse
-
-    def bwd(g):
-        _accum(x, g - np.exp(val) * g.sum(axis=axis, keepdims=True))
 
     return _node(val, (x,), bwd)
 

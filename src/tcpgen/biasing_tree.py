@@ -101,17 +101,3 @@ def advance_state(tree: PrefixTree, state: TreeState, emitted: int) -> TreeState
             return ROOT_STATE if final else TreeState(child)
     return ROOT_STATE if final else DETACHED_STATE
 
-
-def dump_tree(tree: PrefixTree, vocab: SubwordVocab) -> str:
-    """Indented text dump, one node per line, '*' marking word ends."""
-    lines = ["."]
-
-    def walk(node: int, depth: int) -> None:
-        kids = sorted(tree.children[node].items(), key=lambda kv: vocab.units[kv[0]])
-        for sid, child in kids:
-            mark = " *" if tree.word_end[child] else ""
-            lines.append("  " * depth + vocab.units[sid] + mark)
-            walk(child, depth + 1)
-
-    walk(ROOT, 1)
-    return "\n".join(lines) + "\n"

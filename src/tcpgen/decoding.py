@@ -213,11 +213,11 @@ def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
                         prev.log_score = np.logaddexp(prev.log_score, blank_score)
                     if s == cfg.max_symbols_per_frame:
                         continue
-                    lab = logp[:L]
                     if lm is not None and cfg.lm_weight > 0:
-                        lab = lab + cfg.lm_weight * lm.log_prob_vector(hyp.lm_state)[:L]
+                        logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
+                                       include_eos=False)
                     for sym in range(L):
-                        score = hyp.log_score + lab[sym]
+                        score = hyp.log_score + logp[sym]
                         if score == -math.inf:
                             continue
                         expansions.append(Hypothesis(

@@ -165,10 +165,6 @@ class SignTestResult:
     n_tie: int
     p_value: float | None   # None when every pair is tied
 
-    @property
-    def significant_005(self) -> bool:
-        return self.p_value is not None and self.p_value <= 0.05
-
 
 def sign_test(pairs: list[tuple[float, float]]) -> SignTestResult:
     """Exact two-sided binomial sign test on per-chapter metric pairs.

@@ -118,7 +118,20 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(f.read())
 
 
+POSITIVE_KEYS = ("beam", "epochs", "batch_size", "hidden", "emb_dim", "attn_dim",
+                 "attn_val_dim", "encoder_stride", "max_len", "corpus_train",
+                 "corpus_test", "lr")
+NON_NEGATIVE_KEYS = ("lm_weight", "max_symbols_per_frame", "train_distractors",
+                     "list_distractors")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    for key in POSITIVE_KEYS:
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
+    for key in NON_NEGATIVE_KEYS:
+        if not getattr(cfg, key) >= 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     if cfg.family not in ("aed", "rnnt"):
         raise ConfigError(f"unknown family {cfg.family!r}")
     from ..toy_models import VARIANTS

@@ -29,7 +29,9 @@ SPECIALS = ("<ool>", "<sos>", "<eos>", "<blank>")
 class SubwordVocab:
     """Closed subword alphabet; id = position (lexical first, then specials).
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  It owns
+    the memo of successful `tokenize_word` results, which only caches a
+    pure function of (vocab, word).
     """
 
     def __init__(self, units: list[str], word_end_suffix: str = "_"):
@@ -50,6 +52,7 @@ class SubwordVocab:
             raise VocabError("duplicate subword unit")
         self._word_final = tuple(u.endswith(word_end_suffix) for u in self.units)
         self._max_unit_len = max(len(u) for u in self.units)
+        self._segmentations: dict[str, TokenSeq] = {}
 
     def id_of(self, unit: str) -> int:
         return self._index[unit]
@@ -105,7 +108,17 @@ def load_vocab(text: str, word_end_suffix: str = "_") -> SubwordVocab:
 
 
 def tokenize_word(vocab: SubwordVocab, word: str) -> TokenSeq:
-    """Greedy longest-match segmentation of `word` + word-end suffix."""
+    """Greedy longest-match segmentation of `word` + word-end suffix.
+
+    Results are memoised on the vocab; a bad word raises on every call.
+    """
+    seq = vocab._segmentations.get(word)
+    if seq is None:
+        seq = vocab._segmentations[word] = _segment(vocab, word)
+    return seq
+
+
+def _segment(vocab: SubwordVocab, word: str) -> TokenSeq:
     if not word or not word.isalpha() or word.upper() != word:
         raise ValueError(f"word must be nonempty uppercase letters: {word!r}")
     s = word + vocab.word_end_suffix

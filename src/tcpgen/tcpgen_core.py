@@ -108,15 +108,14 @@ def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
     support = sorted(valid)
     if any(s >= n_lexical or s < 0 for s in support):
         raise ValueError("valid set must contain lexical ids only")
-    k_ool = params.wk @ params.ool_emb
-    v_ool = params.wv @ params.ool_emb
+    k_ool = ad.reshape(params.wk @ params.ool_emb, (1, -1))
+    v_ool = ad.reshape(params.wv @ params.ool_emb, (1, -1))
     if support:
-        rows = ad.take_rows(embeddings, support)
-        keys = ad.vstack([rows @ ad.transpose(params.wk), k_ool])
-        vals = ad.vstack([rows @ ad.transpose(params.wv), v_ool])
+        rows = embeddings[support]
+        keys = ad.cat([rows @ ad.transpose(params.wk), k_ool])
+        vals = ad.cat([rows @ ad.transpose(params.wv), v_ool])
     else:
-        keys = ad.vstack([k_ool])
-        vals = ad.vstack([v_ool])
+        keys, vals = k_ool, v_ool
     scale = 1.0 / math.sqrt(params.d)
     if query.data.ndim == 2:
         logits = (query @ ad.transpose(keys)) * scale
@@ -131,11 +130,11 @@ def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
 def generation_prob(params: TCPGenParams, hidden: Tensor, h_ptr: Tensor,
                     p_ool: Tensor) -> tuple[Tensor, Tensor]:
     """p_gen = sigmoid(Wgen [hidden; h_ptr]), and its OOL-scaled variant."""
-    wgen = ad.row(params.wgen, 0)
+    wgen = params.wgen[0]
     if hidden.data.ndim == 2:
-        z = ad.hstack2d([hidden, h_ptr]) @ wgen
+        z = ad.cat([hidden, h_ptr], axis=1) @ wgen
     else:
-        z = wgen @ ad.concat([hidden, h_ptr])
+        z = wgen @ ad.cat([hidden, h_ptr])
     p_gen = ad.clip(ad.sigmoid(z), P_GEN_FLOOR, 1.0 - P_GEN_FLOOR)
     return p_gen, p_gen * (1.0 - p_ool)
 
@@ -144,11 +143,8 @@ def pointer_step(params: TCPGenParams, query: Tensor, valid: set[int],
                  embeddings: Tensor, hidden: Tensor, n_lexical: int) -> PtrStep:
     """Full pointer evaluation: attention, output vector, generation prob."""
     p_ptr, h_ptr = ptr_attention(params, query, valid, embeddings, n_lexical)
-    if p_ptr.data.ndim == 2:
-        p_ool = ad.col(p_ptr, n_lexical)
-    else:
-        p_ool = ad.element(p_ptr, n_lexical)
-    p_gen, p_gen_scaled = generation_prob(params, hidden, h_ptr, p_ool)
+    p_gen, p_gen_scaled = generation_prob(params, hidden, h_ptr,
+                                          p_ptr[..., n_lexical])
     return PtrStep(p_ptr=p_ptr, h_ptr=h_ptr, p_gen=p_gen, p_gen_scaled=p_gen_scaled)
 
 
@@ -158,7 +154,7 @@ def interpolate_aed(p_mdl: Tensor, ptr: PtrStep, n_lexical: int) -> Tensor:
     EOS gets no pointer mass; the pointer's OOL mass is absorbed through
     the scaled generation probability, so the result sums to one.
     """
-    ptr_lex = ad.concat([ad.slice1d(ptr.p_ptr, 0, n_lexical), Tensor(np.zeros(1))])
+    ptr_lex = ad.cat([ptr.p_ptr[:n_lexical], Tensor(np.zeros(1))])
     return p_mdl * (1.0 - ptr.p_gen_scaled) + ptr_lex * ptr.p_gen
 
 
@@ -171,21 +167,21 @@ def interpolate_rnnt(p_mdl: Tensor, ptr: PtrStep, n_lexical: int) -> Tensor:
     """
     L = n_lexical
     if p_mdl.data.ndim == 2:
-        blank = ad.col(p_mdl, L)
+        blank = p_mdl[:, L]
         s = 1.0 - blank
         T = p_mdl.data.shape[0]
-        lex = (ad.cols(p_mdl, 0, L) * ad.reshape(1.0 - ptr.p_gen_scaled, (T, 1))
-               + ad.cols(ptr.p_ptr, 0, L) * ad.reshape(ptr.p_gen * s, (T, 1)))
-        return ad.hstack2d([lex, ad.reshape(blank, (T, 1))])
-    blank = ad.element(p_mdl, L)
+        lex = (p_mdl[:, :L] * ad.reshape(1.0 - ptr.p_gen_scaled, (T, 1))
+               + ptr.p_ptr[:, :L] * ad.reshape(ptr.p_gen * s, (T, 1)))
+        return ad.cat([lex, ad.reshape(blank, (T, 1))], axis=1)
+    blank = p_mdl[L]
     s = 1.0 - blank
-    lex = (ad.slice1d(p_mdl, 0, L) * (1.0 - ptr.p_gen_scaled)
-           + ad.slice1d(ptr.p_ptr, 0, L) * (ptr.p_gen * s))
-    return ad.concat([lex, ad.reshape(blank, (1,))])
+    lex = (p_mdl[:L] * (1.0 - ptr.p_gen_scaled)
+           + ptr.p_ptr[:L] * (ptr.p_gen * s))
+    return ad.cat([lex, ad.reshape(blank, (1,))])
 
 
 def deep_biasing_vector(embeddings: Tensor, valid: set[int]) -> Tensor:
     """Sum of embedding rows over the valid set; zero vector when empty."""
     if not valid:
         return Tensor(np.zeros(embeddings.data.shape[1]))
-    return ad.tsum(ad.take_rows(embeddings, sorted(valid)), axis=0)
+    return ad.tsum(embeddings[sorted(valid)], axis=0)

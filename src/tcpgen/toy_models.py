@@ -102,13 +102,13 @@ def _encode(w_enc: Tensor, b_enc: Tensor, feat_dim: int, hidden: int,
     if not np.all(np.isfinite(feats)):
         raise ValueError("non-finite values in input features")
     x = Tensor(feats)
-    xp = x @ ad.transpose(ad.cols(w_enc, 0, feat_dim))          # (T, hidden)
-    wh = ad.cols(w_enc, feat_dim, feat_dim + hidden)
+    xp = x @ ad.transpose(w_enc[:, :feat_dim])    # (T, hidden)
+    wh = w_enc[:, feat_dim:feat_dim + hidden]
     h = Tensor(np.zeros(hidden))
     rows = []
     T = feats.shape[0]
     for t in range(T):
-        h = ad.tanh(ad.row(xp, t) + wh @ h + b_enc)
+        h = ad.tanh(xp[t] + wh @ h + b_enc)
         if (t + 1) % stride == 0 or t == T - 1:
             rows.append(h)
     return ad.stack(rows)
@@ -178,7 +178,7 @@ class ToyAED:
         for the baseline path.
         """
         h_prev, center_prev = state
-        y_emb = ad.row(self.emb, y_prev)
+        y_emb = self.emb[y_prev]
         center = center_prev + ad.softplus(self.w_step @ h_prev + self.b_step)
         positions = Tensor(np.arange(h_enc.data.shape[0], dtype=np.float64))
         offset = positions - center
@@ -186,8 +186,8 @@ class ToyAED:
         content = (h_enc @ h_prev) * (1.0 / math.sqrt(self.cfg.hidden))
         alpha = ad.softmax(content + location)
         c = alpha @ h_enc
-        h_dec = ad.tanh(self.w_dec @ ad.concat([y_emb, h_prev, c]) + self.b_dec)
-        logits = self.w_out @ ad.concat([h_dec, c])
+        h_dec = ad.tanh(self.w_dec @ ad.cat([y_emb, h_prev, c]) + self.b_dec)
+        logits = self.w_out @ ad.cat([h_dec, c])
         if self.w_db is not None:
             logits = logits + self.w_db @ tcp.deep_biasing_vector(self.emb, valid or set())
         p_mdl = ad.softmax(logits)
@@ -217,7 +217,7 @@ class ToyAED:
         for tgt in steps:
             valid = valid_set(tree, tree_state) if (biasing and tree is not None) else (set() if biasing else None)
             p, state, _ = self.step(h_enc, state, y_prev, valid)
-            terms.append(-ad.log(ad.element(p, tgt)))
+            terms.append(-ad.log(p[tgt]))
             if tgt != self.eos_slot:
                 if tree is not None:
                     tree_state = advance_state(tree, tree_state, tgt)
@@ -276,8 +276,8 @@ class ToyRNNT:
         return Tensor(np.zeros(self.cfg.hidden))
 
     def predictor_step(self, state: Tensor, y_in: int) -> Tensor:
-        y_emb = ad.row(self.emb, y_in)
-        return ad.tanh(self.w_pred @ ad.concat([y_emb, state]) + self.b_pred)
+        y_emb = self.emb[y_in]
+        return ad.tanh(self.w_pred @ ad.cat([y_emb, state]) + self.b_pred)
 
     def joint_rows(self, h_pred: Tensor, h_enc: Tensor, y_prev: int,
                    valid: set[int] | None) -> tuple[Tensor, tcp.PtrStep | None]:
@@ -288,17 +288,17 @@ class ToyRNNT:
         """
         h, L = self.cfg.hidden, self.vocab.n_lexical
         T = h_enc.data.shape[0]
-        w_pred_part = ad.cols(self.w_joint, 0, h)
-        w_enc_part = ad.cols(self.w_joint, h, 2 * h)
+        w_pred_part = self.w_joint[:, :h]
+        w_enc_part = self.w_joint[:, h:2 * h]
         z = h_enc @ ad.transpose(w_enc_part) + w_pred_part @ h_pred + self.b_joint
         p_ptr = h_ptr = None
         if self.tcpgen is not None:
-            y_emb = ad.row(self.emb, y_prev)
+            y_emb = self.emb[y_prev]
             q = tcp.query_rnnt(self.tcpgen, h_enc, y_emb)
             p_ptr, h_ptr = tcp.ptr_attention(self.tcpgen, q, valid or set(),
                                              self.emb, L)
         if self.bias_dim:
-            w_bias = ad.cols(self.w_joint, 2 * h, 2 * h + self.bias_dim)
+            w_bias = self.w_joint[:, 2 * h:2 * h + self.bias_dim]
             if self.cfg.variant == "tcpgen_db":
                 z = z + h_ptr @ ad.transpose(w_bias)
             else:
@@ -307,9 +307,8 @@ class ToyRNNT:
         p_mdl = ad.softmax(h_joint @ ad.transpose(self.w_joint2), axis=-1)
         ptr = None
         if self.tcpgen is not None:
-            p_ool = ad.col(p_ptr, L)
             p_gen, p_gen_scaled = tcp.generation_prob(self.tcpgen, h_joint,
-                                                      h_ptr, p_ool)
+                                                      h_ptr, p_ptr[:, L])
             ptr = tcp.PtrStep(p_ptr=p_ptr, h_ptr=h_ptr, p_gen=p_gen,
                               p_gen_scaled=p_gen_scaled)
             p = tcp.interpolate_rnnt(p_mdl, ptr, L)

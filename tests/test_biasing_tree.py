@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpgen.biasing_tree import (DETACHED_STATE, ROOT_STATE, TreeState,
-                                 advance_state, build_tree, dump_tree,
-                                 valid_set)
+                                 advance_state, build_tree, valid_set)
 from tcpgen.lexicon import SubwordVocab, UnsegmentableWord, tokenize_word
 
 from helpers import oracle_valid_set, random_tree_case
@@ -88,12 +87,6 @@ def test_non_lexical_id_rejected():
     tree = build_tree(FIG_VOCAB, ["TURN"])
     with pytest.raises(ValueError):
         advance_state(tree, ROOT_STATE, FIG_VOCAB.eos)
-
-
-def test_dump_format():
-    tree = build_tree(FIG_VOCAB, ["TURN", "TURIN"])
-    text = dump_tree(tree, FIG_VOCAB)
-    assert text == ".\n  TUR\n    IN_ *\n    N_ *\n"
 
 
 def test_oracle_equivalence_bulk():

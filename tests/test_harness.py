@@ -49,6 +49,19 @@ def test_parse_config_rejects_bad_values():
         parse_config("variants = baseline,warp\n")
     with pytest.raises(ConfigError):
         parse_config("drop_rate = 1.5\n")
+    for key in ("beam", "epochs", "batch_size", "hidden", "emb_dim", "attn_dim",
+                "attn_val_dim", "encoder_stride", "max_len", "corpus_train",
+                "corpus_test", "lr"):
+        for value in ("0", "-1"):
+            with pytest.raises(ConfigError, match=f"{key} must be > 0"):
+                parse_config(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match="lr must be > 0"):
+        parse_config("lr = nan\n")
+    for key in ("lm_weight", "max_symbols_per_frame", "train_distractors",
+                "list_distractors"):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+            parse_config(f"{key} = -1\n")
+        parse_config(f"{key} = 0\n")
 
 
 def test_config_hash_depends_on_every_key():
@@ -212,6 +225,13 @@ def test_cli_gen_data_and_error_paths(tmp_path, capsys):
     assert cli.main(["gen-data", "--config", bad, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
+    # a bad value fails at parse time, before any training
+    with open(bad, "w") as f:
+        f.write(small_cfg(beam=0).canonical_text())
+    assert cli.main(["train", "--config", bad, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not any("ckpt" in dirs for _, dirs, _ in os.walk(out))
 
 
 def test_cli_decode_without_training_fails_cleanly(tmp_path, capsys):

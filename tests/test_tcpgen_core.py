@@ -265,7 +265,7 @@ def test_gradients_match_finite_differences():
     def build(params, emb):
         c = Tensor(c0)
         hidden = Tensor(hid0)
-        q = tc.query_aed(params, c, ad.row(emb, 0))
+        q = tc.query_aed(params, c, emb[0])
         ptr = tc.pointer_step(params, q, valid, emb, hidden, n_lexical=8)
         p_mdl = ad.softmax(Tensor(Stream(32).gauss_array((9,))))
         out = tc.interpolate_aed(p_mdl, ptr, n_lexical=8)
