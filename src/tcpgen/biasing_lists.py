@@ -31,9 +31,6 @@ class BiasingList:
         if len(set(self.words)) != len(self.words):
             raise ValueError("biasing list contains duplicates")
 
-    def __contains__(self, word: str) -> bool:
-        return word in set(self.words)
-
     def word_set(self) -> set[str]:
         return set(self.words)
 
@@ -50,29 +47,17 @@ class RareWordList:
         return set(self.words)
 
 
-def build_rare_word_list(transcripts, freq_threshold: int | None = None,
-                         keep_fraction: float | None = None,
-                         stop_words=()) -> RareWordList:
-    """Corpus-derived rare list: words at or below a frequency threshold,
-    or the least-frequent fraction of the vocabulary.
+def build_rare_word_list(transcripts, freq_threshold: int) -> RareWordList:
+    """Corpus-derived rare list: words at or below a frequency threshold.
 
-    `transcripts` is an iterable of word sequences.  Exactly one of
-    freq_threshold / keep_fraction must be given.
+    `transcripts` is an iterable of word sequences.
     """
     counts = Counter()
     for words in transcripts:
         counts.update(words)
     if not counts:
         raise ValueError("empty corpus")
-    if (freq_threshold is None) == (keep_fraction is None):
-        raise ValueError("give exactly one of freq_threshold, keep_fraction")
-    stop = set(stop_words)
-    if freq_threshold is not None:
-        kept = [w for w, c in counts.items() if c <= freq_threshold and w not in stop]
-    else:
-        ranked = sorted(counts.items(), key=lambda wc: (wc[1], wc[0]))
-        n = int(round(keep_fraction * len(ranked)))
-        kept = [w for w, _ in ranked[:n] if w not in stop]
+    kept = [w for w, c in counts.items() if c <= freq_threshold]
     return RareWordList(tuple(sorted(kept)))
 
 

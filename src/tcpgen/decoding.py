@@ -11,14 +11,14 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .biasing_tree import (DETACHED_STATE, PrefixTree, ROOT_STATE, TreeState,
-                           advance_state, valid_set)
+from .biasing_tree import (PrefixTree, ROOT_STATE, TreeState, advance_state,
+                           valid_set)
 from .lexicon import SubwordVocab, TokenSeq, detokenize
 
 
@@ -107,7 +107,7 @@ def fuse_lm(step_logprob: np.ndarray, lm: BigramLM, lm_state: int,
 
 def _tree_ops(tree: PrefixTree | None, biasing: bool):
     if not biasing or tree is None:
-        return (lambda st: None), (lambda st, tok: st)
+        return (lambda st: set()), (lambda st, tok: st)
     return (lambda st: valid_set(tree, st)), (lambda st, tok: advance_state(tree, st, tok))
 
 

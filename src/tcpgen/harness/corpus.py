@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lexicon import SubwordVocab, load_vocab, tokenize_sentence
+from ..lexicon import WORD_END, SubwordVocab, load_vocab, tokenize_sentence
 from ..rng import Stream, derive_seed
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
@@ -52,7 +52,7 @@ class SyntheticCorpus:
 
 
 def build_vocab_text() -> str:
-    units = list(SYLLABLES) + [s + "_" for s in SYLLABLES]
+    units = list(SYLLABLES) + [s + WORD_END for s in SYLLABLES]
     return "\n".join(units) + "\n"
 
 

@@ -13,8 +13,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import decoding
 from ..biasing_lists import (BiasingList, RareWordList, build_book_list,
                              build_chapter_list, build_rare_word_list,

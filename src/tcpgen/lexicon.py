@@ -1,7 +1,7 @@
 """Subword vocabulary, special symbols, and word <-> subword segmentation.
 
 The subword inventory is closed: every unit either ends with the word-end
-suffix (word-final) or not (word-internal).  Words are segmented by greedy
+suffix `_` (word-final) or not (word-internal).  Words are segmented by greedy
 longest match after appending the suffix, so segmentation is a pure
 function of (vocab, word).
 """
@@ -24,6 +24,7 @@ class UnsegmentableWord(ValueError):
 
 # Specials are appended after the lexical units, in this fixed order.
 SPECIALS = ("<ool>", "<sos>", "<eos>", "<blank>")
+WORD_END = "_"   # suffix marking word-final units
 
 
 class SubwordVocab:
@@ -34,13 +35,10 @@ class SubwordVocab:
     pure function of (vocab, word).
     """
 
-    def __init__(self, units: list[str], word_end_suffix: str = "_"):
+    def __init__(self, units: list[str]):
         if not units:
             raise VocabError("vocabulary has no lexical units")
-        if len(word_end_suffix) != 1:
-            raise VocabError("word_end_suffix must be a single character")
         self.units = tuple(units)
-        self.word_end_suffix = word_end_suffix
         self.n_lexical = len(self.units)
         self.ool = self.n_lexical
         self.sos = self.n_lexical + 1
@@ -50,15 +48,9 @@ class SubwordVocab:
         self._index = {u: i for i, u in enumerate(self.units)}
         if len(self._index) != self.n_lexical:
             raise VocabError("duplicate subword unit")
-        self._word_final = tuple(u.endswith(word_end_suffix) for u in self.units)
+        self._word_final = tuple(u.endswith(WORD_END) for u in self.units)
         self._max_unit_len = max(len(u) for u in self.units)
         self._segmentations: dict[str, TokenSeq] = {}
-
-    def id_of(self, unit: str) -> int:
-        return self._index[unit]
-
-    def unit_of(self, sid: int) -> str:
-        return self.units[sid]
 
     def is_lexical(self, sid: int) -> bool:
         return 0 <= sid < self.n_lexical
@@ -86,7 +78,7 @@ class TokenSeq:
         return iter(self.ids)
 
 
-def load_vocab(text: str, word_end_suffix: str = "_") -> SubwordVocab:
+def load_vocab(text: str) -> SubwordVocab:
     """Parse a vocab file body: one subword per line, line index = id."""
     if text.strip() == "":
         raise VocabError("empty vocabulary file")
@@ -104,7 +96,7 @@ def load_vocab(text: str, word_end_suffix: str = "_") -> SubwordVocab:
                 f"(first at line {seen[unit]})")
         seen[unit] = lineno
         units.append(unit)
-    return SubwordVocab(units, word_end_suffix)
+    return SubwordVocab(units)
 
 
 def tokenize_word(vocab: SubwordVocab, word: str) -> TokenSeq:
@@ -121,7 +113,7 @@ def tokenize_word(vocab: SubwordVocab, word: str) -> TokenSeq:
 def _segment(vocab: SubwordVocab, word: str) -> TokenSeq:
     if not word or not word.isalpha() or word.upper() != word:
         raise ValueError(f"word must be nonempty uppercase letters: {word!r}")
-    s = word + vocab.word_end_suffix
+    s = word + WORD_END
     ids: list[int] = []
     pos = 0
     while pos < len(s):

@@ -4,9 +4,9 @@ pointer output vector, generation probability, and distribution interpolation.
 The pointer distribution lives over lexical subwords plus a trailing OOL
 slot (index = number of lexical units).  Masking is done by restricting the
 softmax support to the valid set plus OOL — entries off that support are
-exact zeros, not large-negative approximations.  All functions accept a
-single query vector or a matrix of per-frame queries (row-batched), which
-is how the transducer path evaluates every encoder position at once.
+exact zeros, not large-negative approximations.  The encoder-decoder
+path evaluates one query vector per step; the transducer path evaluates a
+matrix of per-frame queries, one row per encoder position.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def init_tcpgen_params(stream: Stream, d: int, d_v: int, ctx_dim: int,
 class PtrStep:
     """One pointer evaluation.
 
-    p_ptr: (L+1,) or (T, L+1) — lexical subwords plus OOL at index L,
-           exactly zero off valid ∪ {OOL}.
+    p_ptr: (L+1,) (encoder-decoder) or (T, L+1) (transducer) — lexical
+           subwords plus OOL at index L, exactly zero off valid ∪ {OOL}.
     h_ptr: (dv,) or (T, dv)
     p_gen, p_gen_scaled: scalar or (T,)
     """
@@ -92,10 +92,8 @@ def query_aed(params: TCPGenParams, c: Tensor, y_prev_emb: Tensor) -> Tensor:
 
 
 def query_rnnt(params: TCPGenParams, h_enc: Tensor, y_prev_emb: Tensor) -> Tensor:
-    """Pointer query from encoder state(s); h_enc may be (T, enc) row-batched."""
-    if h_enc.data.ndim == 2:
-        return h_enc @ ad.transpose(params.wq_c) + params.wq_y @ y_prev_emb
-    return params.wq_c @ h_enc + params.wq_y @ y_prev_emb
+    """Pointer queries from (T, enc) encoder rows -> (T, d)."""
+    return h_enc @ ad.transpose(params.wq_c) + params.wq_y @ y_prev_emb
 
 
 def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
@@ -163,21 +161,16 @@ def interpolate_rnnt(p_mdl: Tensor, ptr: PtrStep, n_lexical: int) -> Tensor:
 
     P(blank) passes through unchanged; lexical entries mix the model and
     pointer terms with the pointer side scaled by the total non-blank model
-    mass so the result sums to one.  Accepts row-batched inputs.
+    mass so the result sums to one.  Inputs are (T, L+1) rows, one per
+    encoder frame.
     """
     L = n_lexical
-    if p_mdl.data.ndim == 2:
-        blank = p_mdl[:, L]
-        s = 1.0 - blank
-        T = p_mdl.data.shape[0]
-        lex = (p_mdl[:, :L] * ad.reshape(1.0 - ptr.p_gen_scaled, (T, 1))
-               + ptr.p_ptr[:, :L] * ad.reshape(ptr.p_gen * s, (T, 1)))
-        return ad.cat([lex, ad.reshape(blank, (T, 1))], axis=1)
-    blank = p_mdl[L]
+    T = p_mdl.data.shape[0]
+    blank = p_mdl[:, L]
     s = 1.0 - blank
-    lex = (p_mdl[:L] * (1.0 - ptr.p_gen_scaled)
-           + ptr.p_ptr[:L] * (ptr.p_gen * s))
-    return ad.cat([lex, ad.reshape(blank, (1,))])
+    lex = (p_mdl[:, :L] * ad.reshape(1.0 - ptr.p_gen_scaled, (T, 1))
+           + ptr.p_ptr[:, :L] * ad.reshape(ptr.p_gen * s, (T, 1)))
+    return ad.cat([lex, ad.reshape(blank, (T, 1))], axis=1)
 
 
 def deep_biasing_vector(embeddings: Tensor, valid: set[int]) -> Tensor:

@@ -10,15 +10,15 @@ single-threaded and fully determined by the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tcpgen_core as tcp
 from .autodiff import Tensor
-from .biasing_tree import (PrefixTree, ROOT_STATE, TreeState, advance_state,
-                           build_tree, valid_set)
+from .biasing_tree import (PrefixTree, ROOT_STATE, advance_state, build_tree,
+                           valid_set)
 from .lexicon import SubwordVocab
 from .rng import Stream, derive_seed
 
@@ -65,9 +65,6 @@ class TrainConfig:
     batch_size: int = 8
     drop_rate: float = 0.40
     distractors: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
 
     def __post_init__(self):
@@ -87,34 +84,87 @@ def _winit(stream: Stream, rows: int, cols: int) -> Tensor:
     return ad.parameter(stream.gauss_array((rows, cols), scale=1.0 / math.sqrt(cols)))
 
 
-def _encode(w_enc: Tensor, b_enc: Tensor, feat_dim: int, hidden: int,
-            features: np.ndarray, stride: int = 1) -> Tensor:
-    """Single-layer tanh recurrence over feature frames -> (T', hidden).
+class ToyModel:
+    """Parameters and reference replay shared by both families.
 
-    With stride k only every k-th hidden state is kept (the recurrence still
-    sees every frame), trimming the attention/joint grid roughly to one
-    position per subword at the synthetic frame rates."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != feat_dim:
-        raise ValueError(f"features must be (T, {feat_dim}), got {feats.shape}")
-    if feats.shape[0] < 1:
-        raise ValueError("features must contain at least one frame")
-    if not np.all(np.isfinite(feats)):
-        raise ValueError("non-finite values in input features")
-    x = Tensor(feats)
-    xp = x @ ad.transpose(w_enc[:, :feat_dim])    # (T, hidden)
-    wh = w_enc[:, feat_dim:feat_dim + hidden]
-    h = Tensor(np.zeros(hidden))
-    rows = []
-    T = feats.shape[0]
-    for t in range(T):
-        h = ad.tanh(xp[t] + wh @ h + b_enc)
-        if (t + 1) % stride == 0 or t == T - 1:
-            rows.append(h)
-    return ad.stack(rows)
+    Draw order from the init stream: embedding table, encoder, the family's
+    own parameters (`_init_head`), then the TCPGen projections.
+    """
+
+    family = ""
+
+    def __init__(self, vocab: SubwordVocab, cfg: ModelConfig, stream: Stream):
+        if cfg.family != self.family:
+            raise ValueError(f"ModelConfig.family must be {self.family!r}")
+        self.vocab = vocab
+        self.cfg = cfg
+        h, e = cfg.hidden, cfg.emb_dim
+        self.emb = _winit(stream, vocab.n_total, e)
+        self.w_enc = _winit(stream, h, cfg.feat_dim + h)
+        self.b_enc = ad.parameter(np.zeros(h))
+        self._head = self._init_head(stream)
+        self.tcpgen = (tcp.init_tcpgen_params(
+            stream, cfg.attn_dim, cfg.attn_val_dim, ctx_dim=h,
+            emb_dim=e, hidden_dim=h) if cfg.uses_tcpgen else None)
+
+    def _init_head(self, stream: Stream) -> dict[str, Tensor]:
+        """Draw the family's parameters; returns them by checkpoint name."""
+        raise NotImplementedError
+
+    def named_params(self) -> dict[str, Tensor]:
+        out = {"emb.table": self.emb,
+               f"{self.family}.W_enc": self.w_enc,
+               f"{self.family}.b_enc": self.b_enc}
+        out.update(self._head)
+        if self.tcpgen is not None:
+            out.update(self.tcpgen.named())
+        return out
+
+    def encode(self, features: np.ndarray) -> Tensor:
+        """Single-layer tanh recurrence over feature frames -> (T', hidden).
+
+        With k = encoder_stride only every k-th hidden state is kept (the
+        recurrence still sees every frame), trimming the attention/joint grid
+        roughly to one position per subword at the synthetic frame rates."""
+        feat_dim, hidden = self.cfg.feat_dim, self.cfg.hidden
+        stride = self.cfg.encoder_stride
+        feats = np.asarray(features, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[1] != feat_dim:
+            raise ValueError(f"features must be (T, {feat_dim}), got {feats.shape}")
+        if feats.shape[0] < 1:
+            raise ValueError("features must contain at least one frame")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("non-finite values in input features")
+        x = Tensor(feats)
+        xp = x @ ad.transpose(self.w_enc[:, :feat_dim])    # (T, hidden)
+        wh = self.w_enc[:, feat_dim:feat_dim + hidden]
+        h = Tensor(np.zeros(hidden))
+        rows = []
+        T = feats.shape[0]
+        for t in range(T):
+            h = ad.tanh(xp[t] + wh @ h + self.b_enc)
+            if (t + 1) % stride == 0 or t == T - 1:
+                rows.append(h)
+        return ad.stack(rows)
+
+    def replay(self, targets: list[int], tree: PrefixTree | None):
+        """Tree cursor replayed along a reference.
+
+        Yields (y_prev, valid) before each of the len(targets) + 1 output
+        steps.  `valid` is empty for the baseline or without a tree.
+        """
+        if self.cfg.variant == "baseline":
+            tree = None
+        y_prev, cursor = self.vocab.sos, ROOT_STATE
+        for u in range(len(targets) + 1):
+            yield y_prev, (set() if tree is None else valid_set(tree, cursor))
+            if u < len(targets):
+                y_prev = targets[u]
+                if tree is not None:
+                    cursor = advance_state(tree, cursor, y_prev)
 
 
-class ToyAED:
+class ToyAED(ToyModel):
     """Encoder, hybrid monotonic/content attention, recurrent decoder.
 
     Attention combines a content dot-product with a Gaussian location prior
@@ -122,60 +172,37 @@ class ToyAED:
     pure content attention cannot bootstrap alignment at this scale.
     """
 
+    family = "aed"
     ATTN_WIDTH = 1.5   # Gaussian prior std, in subsampled frame positions
 
-    def __init__(self, vocab: SubwordVocab, cfg: ModelConfig, stream: Stream):
-        if cfg.family != "aed":
-            raise ValueError("ModelConfig.family must be 'aed'")
-        self.vocab = vocab
-        self.cfg = cfg
-        L, h, e = vocab.n_lexical, cfg.hidden, cfg.emb_dim
-        self.emb = _winit(stream, vocab.n_total, e)
-        self.w_enc = _winit(stream, h, cfg.feat_dim + h)
-        self.b_enc = ad.parameter(np.zeros(h))
+    def _init_head(self, stream: Stream) -> dict[str, Tensor]:
+        L, h, e = self.vocab.n_lexical, self.cfg.hidden, self.cfg.emb_dim
         self.w_dec = _winit(stream, h, e + h + h)
         self.b_dec = ad.parameter(np.zeros(h))
         self.w_step = ad.parameter(np.zeros(h))
         # softplus(b) = 1: one subsampled position per output token at init
         self.b_step = ad.parameter(np.array(math.log(math.e - 1.0)))
         self.w_out = _winit(stream, L + 1, 2 * h)   # lexical + EOS
-        self.w_db = _winit(stream, L + 1, e) if cfg.uses_db else None
-        self.tcpgen = (tcp.init_tcpgen_params(
-            stream, cfg.attn_dim, cfg.attn_val_dim, ctx_dim=h,
-            emb_dim=e, hidden_dim=h) if cfg.uses_tcpgen else None)
+        self.w_db = _winit(stream, L + 1, e) if self.cfg.uses_db else None
+        head = {"aed.W_dec": self.w_dec, "aed.b_dec": self.b_dec,
+                "aed.w_step": self.w_step, "aed.b_step": self.b_step,
+                "aed.W_out": self.w_out}
+        if self.w_db is not None:
+            head["aed.W_db"] = self.w_db
+        return head
 
     @property
     def eos_slot(self) -> int:
         return self.vocab.n_lexical
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {
-            "emb.table": self.emb,
-            "aed.W_enc": self.w_enc, "aed.b_enc": self.b_enc,
-            "aed.W_dec": self.w_dec, "aed.b_dec": self.b_dec,
-            "aed.w_step": self.w_step, "aed.b_step": self.b_step,
-            "aed.W_out": self.w_out,
-        }
-        if self.w_db is not None:
-            out["aed.W_db"] = self.w_db
-        if self.tcpgen is not None:
-            out.update(self.tcpgen.named())
-        return out
-
-    def encode(self, features: np.ndarray) -> Tensor:
-        return _encode(self.w_enc, self.b_enc, self.cfg.feat_dim,
-                       self.cfg.hidden, features, self.cfg.encoder_stride)
-
     def init_state(self):
         """Decoder state: (hidden vector, attention center position)."""
         return (Tensor(np.zeros(self.cfg.hidden)), Tensor(np.array(-0.5)))
 
-    def step(self, h_enc: Tensor, state, y_prev: int,
-             valid: set[int] | None):
+    def step(self, h_enc: Tensor, state, y_prev: int, valid: set[int]):
         """One decoder step; returns (output distribution, new state, ptr).
 
-        `valid` is the current tree valid set for biasing variants, or None
-        for the baseline path.
+        `valid` is the current tree valid set; the baseline ignores it.
         """
         h_prev, center_prev = state
         y_emb = self.emb[y_prev]
@@ -189,12 +216,12 @@ class ToyAED:
         h_dec = ad.tanh(self.w_dec @ ad.cat([y_emb, h_prev, c]) + self.b_dec)
         logits = self.w_out @ ad.cat([h_dec, c])
         if self.w_db is not None:
-            logits = logits + self.w_db @ tcp.deep_biasing_vector(self.emb, valid or set())
+            logits = logits + self.w_db @ tcp.deep_biasing_vector(self.emb, valid)
         p_mdl = ad.softmax(logits)
         ptr = None
         if self.tcpgen is not None:
             q = tcp.query_aed(self.tcpgen, c, y_emb)
-            ptr = tcp.pointer_step(self.tcpgen, q, valid or set(), self.emb,
+            ptr = tcp.pointer_step(self.tcpgen, q, valid, self.emb,
                                    h_dec, self.vocab.n_lexical)
             p = tcp.interpolate_aed(p_mdl, ptr, self.vocab.n_lexical)
         else:
@@ -209,37 +236,26 @@ class ToyAED:
         """
         h_enc = self.encode(features)
         state = self.init_state()
-        y_prev = self.vocab.sos
-        tree_state = ROOT_STATE
-        biasing = self.cfg.variant != "baseline"
-        steps = list(targets) + [self.eos_slot]
+        targets = list(targets)
         terms = []
-        for tgt in steps:
-            valid = valid_set(tree, tree_state) if (biasing and tree is not None) else (set() if biasing else None)
+        for tgt, (y_prev, valid) in zip(targets + [self.eos_slot],
+                                        self.replay(targets, tree)):
             p, state, _ = self.step(h_enc, state, y_prev, valid)
             terms.append(-ad.log(p[tgt]))
-            if tgt != self.eos_slot:
-                if tree is not None:
-                    tree_state = advance_state(tree, tree_state, tgt)
-                y_prev = tgt
         total = terms[0]
         for t in terms[1:]:
             total = total + t
         return total
 
 
-class ToyRNNT:
+class ToyRNNT(ToyModel):
     """Encoder, recurrent predictor, and joint network with blank output."""
 
-    def __init__(self, vocab: SubwordVocab, cfg: ModelConfig, stream: Stream):
-        if cfg.family != "rnnt":
-            raise ValueError("ModelConfig.family must be 'rnnt'")
-        self.vocab = vocab
-        self.cfg = cfg
-        L, h, e = vocab.n_lexical, cfg.hidden, cfg.emb_dim
-        self.emb = _winit(stream, vocab.n_total, e)
-        self.w_enc = _winit(stream, h, cfg.feat_dim + h)
-        self.b_enc = ad.parameter(np.zeros(h))
+    family = "rnnt"
+
+    def _init_head(self, stream: Stream) -> dict[str, Tensor]:
+        cfg = self.cfg
+        L, h, e = self.vocab.n_lexical, cfg.hidden, cfg.emb_dim
         self.w_pred = _winit(stream, h, e + h)
         self.b_pred = ad.parameter(np.zeros(h))
         # joint input: [h_pred; h_enc] plus a biasing vector for db variants
@@ -248,29 +264,13 @@ class ToyRNNT:
         self.w_joint = _winit(stream, h, 2 * h + self.bias_dim)
         self.b_joint = ad.parameter(np.zeros(h))
         self.w_joint2 = _winit(stream, L + 1, h)    # lexical + BLANK
-        self.tcpgen = (tcp.init_tcpgen_params(
-            stream, cfg.attn_dim, cfg.attn_val_dim, ctx_dim=h,
-            emb_dim=e, hidden_dim=h) if cfg.uses_tcpgen else None)
+        return {"rnnt.W_pred": self.w_pred, "rnnt.b_pred": self.b_pred,
+                "rnnt.W_joint": self.w_joint, "rnnt.b_joint": self.b_joint,
+                "rnnt.W_joint2": self.w_joint2}
 
     @property
     def blank_slot(self) -> int:
         return self.vocab.n_lexical
-
-    def named_params(self) -> dict[str, Tensor]:
-        out = {
-            "emb.table": self.emb,
-            "rnnt.W_enc": self.w_enc, "rnnt.b_enc": self.b_enc,
-            "rnnt.W_pred": self.w_pred, "rnnt.b_pred": self.b_pred,
-            "rnnt.W_joint": self.w_joint, "rnnt.b_joint": self.b_joint,
-            "rnnt.W_joint2": self.w_joint2,
-        }
-        if self.tcpgen is not None:
-            out.update(self.tcpgen.named())
-        return out
-
-    def encode(self, features: np.ndarray) -> Tensor:
-        return _encode(self.w_enc, self.b_enc, self.cfg.feat_dim,
-                       self.cfg.hidden, features, self.cfg.encoder_stride)
 
     def init_pred_state(self) -> Tensor:
         return Tensor(np.zeros(self.cfg.hidden))
@@ -280,14 +280,13 @@ class ToyRNNT:
         return ad.tanh(self.w_pred @ ad.cat([y_emb, state]) + self.b_pred)
 
     def joint_rows(self, h_pred: Tensor, h_enc: Tensor, y_prev: int,
-                   valid: set[int] | None) -> tuple[Tensor, tcp.PtrStep | None]:
+                   valid: set[int]) -> tuple[Tensor, tcp.PtrStep | None]:
         """Joint distribution for one predictor state across encoder rows.
 
         h_enc is (T, hidden); returns (T, L+1) probabilities with the blank
         slot last, plus the pointer step for TCPGen variants.
         """
         h, L = self.cfg.hidden, self.vocab.n_lexical
-        T = h_enc.data.shape[0]
         w_pred_part = self.w_joint[:, :h]
         w_enc_part = self.w_joint[:, h:2 * h]
         z = h_enc @ ad.transpose(w_enc_part) + w_pred_part @ h_pred + self.b_joint
@@ -295,14 +294,13 @@ class ToyRNNT:
         if self.tcpgen is not None:
             y_emb = self.emb[y_prev]
             q = tcp.query_rnnt(self.tcpgen, h_enc, y_emb)
-            p_ptr, h_ptr = tcp.ptr_attention(self.tcpgen, q, valid or set(),
-                                             self.emb, L)
+            p_ptr, h_ptr = tcp.ptr_attention(self.tcpgen, q, valid, self.emb, L)
         if self.bias_dim:
             w_bias = self.w_joint[:, 2 * h:2 * h + self.bias_dim]
             if self.cfg.variant == "tcpgen_db":
                 z = z + h_ptr @ ad.transpose(w_bias)
             else:
-                z = z + w_bias @ tcp.deep_biasing_vector(self.emb, valid or set())
+                z = z + w_bias @ tcp.deep_biasing_vector(self.emb, valid)
         h_joint = ad.tanh(z)
         p_mdl = ad.softmax(h_joint @ ad.transpose(self.w_joint2), axis=-1)
         ptr = None
@@ -321,20 +319,11 @@ class ToyRNNT:
         """(U+1, T, L+1) log-probability lattice along the reference prefix."""
         h_enc = self.encode(features)
         state = self.init_pred_state()
-        y_prev = self.vocab.sos
-        tree_state = ROOT_STATE
-        biasing = self.cfg.variant != "baseline"
         rows = []
-        targets = list(targets)
-        for u in range(len(targets) + 1):
+        for y_prev, valid in self.replay(list(targets), tree):
             state = self.predictor_step(state, y_prev)
-            valid = valid_set(tree, tree_state) if (biasing and tree is not None) else (set() if biasing else None)
             p, _ = self.joint_rows(state, h_enc, y_prev, valid)
             rows.append(ad.log(p))
-            if u < len(targets):
-                y_prev = targets[u]
-                if tree is not None:
-                    tree_state = advance_state(tree, tree_state, y_prev)
         return ad.stack(rows)
 
     def loss(self, features: np.ndarray, targets, tree: PrefixTree | None) -> Tensor:
@@ -406,7 +395,7 @@ def transducer_loss(lattice: Tensor, targets: list[int], blank: int) -> Tensor:
 
 
 def build_model(vocab: SubwordVocab, cfg: ModelConfig, stream: Stream):
-    return ToyAED(vocab, cfg, stream) if cfg.family == "aed" else ToyRNNT(vocab, cfg, stream)
+    return (ToyAED if cfg.family == "aed" else ToyRNNT)(vocab, cfg, stream)
 
 
 def param_gradients(model, batch: list[tuple[np.ndarray, list[int], PrefixTree | None]]
@@ -428,6 +417,8 @@ def param_gradients(model, batch: list[tuple[np.ndarray, list[int], PrefixTree |
 class Adam:
     """Adam with global gradient-norm clipping; deterministic update order."""
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = dict(sorted(params.items()))
         self.cfg = cfg
@@ -440,13 +431,14 @@ class Adam:
         norm = math.sqrt(sum(float((grads[k] ** 2).sum()) for k in self.params))
         scale = c.clip_norm / norm if norm > c.clip_norm else 1.0
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        b1, b2 = self.BETA1, self.BETA2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for k, p in self.params.items():
             g = grads[k] * scale
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g * g
-            p.data -= c.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            p.data -= c.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.EPS)
 
 
 def build_train_tree(vocab: SubwordVocab, ref_words, rare: set[str],

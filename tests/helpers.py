@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from tcpgen import autodiff as ad
+from tcpgen import tcpgen_core as tc
+from tcpgen.autodiff import Tensor
 from tcpgen.biasing_tree import build_tree
 from tcpgen.lexicon import SubwordVocab
 from tcpgen.rng import Stream
@@ -81,6 +83,15 @@ def copy_shared_weights(src, dst) -> None:
         elif (s.ndim == 2 and p.data.ndim == 2 and s.shape[0] == p.data.shape[0]
               and s.shape[1] < p.data.shape[1]):
             p.data[:, :s.shape[1]] = s
+
+
+def one_row(ptr: tc.PtrStep) -> tc.PtrStep:
+    """A single-vector pointer step as one transducer row: (1, L+1) p_ptr,
+    (1, dv) h_ptr and (1,) generation probabilities."""
+    return tc.PtrStep(p_ptr=Tensor(ptr.p_ptr.data.reshape(1, -1)),
+                      h_ptr=Tensor(ptr.h_ptr.data.reshape(1, -1)),
+                      p_gen=Tensor(ptr.p_gen.data.reshape(1)),
+                      p_gen_scaled=Tensor(ptr.p_gen_scaled.data.reshape(1)))
 
 
 def oracle_valid_set(word_token_seqs, emitted, word_final):

@@ -29,8 +29,9 @@ from tcpgen.rng import Stream, derive_seed
 from tcpgen.toy_models import ModelConfig, build_model, transducer_loss
 
 from helpers import (copy_shared_weights, enumeration_transducer_loss,
-                     fd_param_check, oracle_valid_set, random_log_lattice,
-                     random_tree_case, tiny_instance, tiny_model)
+                     fd_param_check, one_row, oracle_valid_set,
+                     random_log_lattice, random_tree_case, tiny_instance,
+                     tiny_model)
 
 
 def report(num: int, name: str, ok: bool = True) -> None:
@@ -66,7 +67,7 @@ def test_criterion_1_normalization_suite():
         p_ptr[L] = probs[-1]
         ptr = make_ptr(p_ptr, stream.uniform())
         for out in (tc.interpolate_aed(Tensor(p_mdl), ptr, L),
-                    tc.interpolate_rnnt(Tensor(p_mdl), ptr, L)):
+                    tc.interpolate_rnnt(Tensor(p_mdl[None]), one_row(ptr), L)):
             assert abs(out.data.sum() - 1.0) < 1e-9
             assert np.all(out.data >= 0.0)
     elapsed = time.time() - t0

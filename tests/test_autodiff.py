@@ -1,7 +1,6 @@
 """Finite-difference checks for every op in the autodiff engine."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -180,36 +179,69 @@ def test_custom_op_injects_gradient():
     assert np.array_equal(x.grad, [10.0, 20.0])
 
 
-def _autodiff_names_used(tree: ast.AST) -> set[str]:
-    """Names a module takes from tcpgen.autodiff, as `ad.name` or by import."""
-    aliases, used = set(), set()
+def _package_sources() -> dict[str, ast.Module]:
+    package = Path(ad.__file__).parent
+    return {str(path.relative_to(package)): ast.parse(path.read_text())
+            for path in sorted(package.rglob("*.py"))}
+
+
+def _public_defs(tree: ast.Module):
+    """(qualified name, def node) of each public function and public method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree: ast.Module):
+    """(line, name) of every name a module reads, bare or as an attribute."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "autodiff":
-                used.update(a.name for a in node.names)
-            aliases.update(a.asname or a.name for a in node.names
-                           if a.name == "autodiff")
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.attr
+
+
+def _imported_names(tree: ast.Module):
+    """(line, bound name) of every import, `from __future__` aside."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            used.add(node.attr)
-    return used
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield node.lineno, a.asname or a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield node.lineno, a.asname or a.name
 
 
 def test_every_public_function_has_a_package_caller():
-    """No API that only tests call: each public function of the engine is
-    used by the package outside autodiff.py or by a Tensor operator."""
-    package = Path(ad.__file__).parent
-    used = set()
-    for path in package.rglob("*.py"):
-        if path.name != "autodiff.py":
-            used |= _autodiff_names_used(ast.parse(path.read_text()))
-    for name, attr in vars(Tensor).items():
-        if name.startswith("__") and callable(attr):
-            used.add(attr.__name__)
-            used.update(attr.__code__.co_names)
-    public = [name for name, f in vars(ad).items()
-              if inspect.isfunction(f) and f.__module__ == ad.__name__
-              and not name.startswith("_")]
-    assert "take" in public and "cat" in public
-    assert sorted(set(public) - used) == []
+    """No API that only tests call: every public function and public method
+    in the package is looked up by package code outside its own definition,
+    and no module imports a name it never uses (package `__init__` files
+    re-export, so they are exempt from the import check)."""
+    sources = _package_sources()
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for mod, tree in sources.items():
+        for line, name in _references(tree):
+            refs.setdefault(name, []).append((mod, line))
+    uncalled, checked = [], set()
+    for mod, tree in sources.items():
+        for qualname, fn in _public_defs(tree):
+            checked.add(f"{mod}:{qualname}")
+            if not any(other != mod or not fn.lineno <= line <= fn.end_lineno
+                       for other, line in refs.get(fn.name, ())):
+                uncalled.append(f"{mod}:{qualname}")
+    assert {"autodiff.py:take", "autodiff.py:cat",
+            "toy_models.py:ToyAED.step", "harness/cli.py:main"} <= checked
+    unused = []
+    for mod, tree in sources.items():
+        if mod.endswith("__init__.py"):
+            continue
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{mod}:{line} {name}"
+                   for line, name in _imported_names(tree) if name not in loaded]
+    assert (uncalled, unused) == ([], [])

@@ -27,6 +27,8 @@ def test_threshold_semantics():
 def test_threshold_zero_rejects_empty_result():
     with pytest.raises(ValueError):
         build_rare_word_list([["A", "B"]], freq_threshold=0)
+    with pytest.raises(ValueError):
+        build_rare_word_list([], freq_threshold=1)   # empty corpus
 
 
 def test_rare_list_matches_counting_oracle():
@@ -41,18 +43,6 @@ def test_rare_list_matches_counting_oracle():
     want = {w for w, c in counts.items() if c <= thr}
     got = build_rare_word_list(corpus, freq_threshold=thr).word_set()
     assert got == want
-
-
-def test_keep_fraction_and_stop_words():
-    corpus = [["A"] * 10, ["B"] * 5, ["C"] * 2, ["D"]]
-    rare = build_rare_word_list(corpus, keep_fraction=0.5)
-    assert rare.word_set() == {"C", "D"}
-    rare2 = build_rare_word_list(corpus, keep_fraction=0.5, stop_words={"D"})
-    assert rare2.word_set() == {"C"}
-    with pytest.raises(ValueError):
-        build_rare_word_list(corpus)   # neither selector
-    with pytest.raises(ValueError):
-        build_rare_word_list([], freq_threshold=1)
 
 
 # -- utterance level ----------------------------------------------------------

@@ -11,24 +11,24 @@ FIG_VOCAB = SubwordVocab(["TUR", "N_", "NER_", "IN_"])
 
 
 def ids(*units):
-    return [FIG_VOCAB.id_of(u) for u in units]
+    return [FIG_VOCAB.units.index(u) for u in units]
 
 
 def test_three_word_tree_structure():
     # {TURN, TURNER, TURIN}: root -> TUR -> {N_ (end), NER_ (end), IN_ (end)}
     tree = build_tree(FIG_VOCAB, ["TURN", "TURNER", "TURIN"])
     assert valid_set(tree, ROOT_STATE) == set(ids("TUR"))
-    after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.id_of("TUR"))
+    after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("TUR"))
     assert valid_set(tree, after_tur) == set(ids("N_", "NER_", "IN_"))
     for unit in ("N_", "NER_", "IN_"):
-        node = tree.children[after_tur.node][FIG_VOCAB.id_of(unit)]
+        node = tree.children[after_tur.node][FIG_VOCAB.units.index(unit)]
         assert tree.word_end[node]
 
 
 def test_two_word_tree_valid_pieces_after_tur():
     # with previous output TUR, n_ and in_ are the two valid word pieces
     tree = build_tree(FIG_VOCAB, ["TURN", "TURIN"])
-    after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.id_of("TUR"))
+    after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("TUR"))
     assert valid_set(tree, after_tur) == set(ids("N_", "IN_"))
 
 
@@ -60,27 +60,27 @@ def test_node_count_bound():
 
 def test_word_final_resets_to_root():
     tree = build_tree(FIG_VOCAB, ["TURNER"])
-    st1 = advance_state(tree, ROOT_STATE, FIG_VOCAB.id_of("TUR"))
+    st1 = advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("TUR"))
     assert st1 != ROOT_STATE
-    st2 = advance_state(tree, st1, FIG_VOCAB.id_of("NER_"))
+    st2 = advance_state(tree, st1, FIG_VOCAB.units.index("NER_"))
     assert st2 == ROOT_STATE
 
 
 def test_off_tree_word_final_goes_to_root():
     tree = build_tree(FIG_VOCAB, ["TURN"])
-    assert advance_state(tree, ROOT_STATE, FIG_VOCAB.id_of("N_")) == ROOT_STATE
+    assert advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("N_")) == ROOT_STATE
 
 
 def test_off_tree_word_internal_detaches_and_stays():
     v = SubwordVocab(["TUR", "X", "N_"])
     tree = build_tree(v, ["TURN"])
-    st1 = advance_state(tree, ROOT_STATE, v.id_of("X"))
+    st1 = advance_state(tree, ROOT_STATE, v.units.index("X"))
     assert st1 == DETACHED_STATE
     assert valid_set(tree, st1) == set()
-    st2 = advance_state(tree, st1, v.id_of("TUR"))
+    st2 = advance_state(tree, st1, v.units.index("TUR"))
     assert st2 == DETACHED_STATE
     # word boundary reattaches
-    assert advance_state(tree, st1, v.id_of("N_")) == ROOT_STATE
+    assert advance_state(tree, st1, v.units.index("N_")) == ROOT_STATE
 
 
 def test_non_lexical_id_rejected():

@@ -41,7 +41,7 @@ def enumerate_aed(model, feats, max_len, lm=None, lam=0.0):
         h_enc = model.encode(feats)
 
         def rec(state, y_prev, tokens, score, lm_state):
-            p, new_state, _ = model.step(h_enc, state, y_prev, None)
+            p, new_state, _ = model.step(h_enc, state, y_prev, set())
             with np.errstate(divide="ignore"):
                 logp = np.log(p.data)
             if lm is not None:
@@ -140,7 +140,7 @@ def test_rnnt_real_model_top1_matches_enumeration():
                 key = tuple(tokens)
                 out[key] = np.logaddexp(out[key], acc) if key in out else acc
                 return
-            p, _ = m.joint_rows(state, rows[t], y_prev, None)
+            p, _ = m.joint_rows(state, rows[t], y_prev, set())
             logp = np.log(p.data[0])
             rec(t + 1, 0, state, y_prev, tokens, acc + logp[L])
             if this_frame < cap:

@@ -12,7 +12,7 @@ def vocab_of(*units):
 def test_load_vocab_line_order_is_id():
     v = load_vocab("TUR\nN_\nIN_\nNER_\n")
     assert v.units == ("TUR", "N_", "IN_", "NER_")
-    assert [v.id_of(u) for u in v.units] == [0, 1, 2, 3]
+    assert tokenize_word(v, "TURNER").ids == (0, 3)
     assert (v.ool, v.sos, v.eos, v.blank) == (4, 5, 6, 7)
     assert v.is_word_final(1) and not v.is_word_final(0)
 
@@ -104,7 +104,7 @@ def test_greedy_matches_brute_force_oracle(vw):
             tokenize_word(v, word)
     else:
         got = tokenize_word(v, word)
-        assert [v.unit_of(i) for i in got.ids] == expect
+        assert [v.units[i] for i in got.ids] == expect
         assert "".join(expect) == word + "_"
 
 

@@ -8,6 +8,8 @@ from tcpgen import tcpgen_core as tc
 from tcpgen.autodiff import Tensor
 from tcpgen.rng import Stream
 
+from helpers import one_row
+
 
 def make_params(stream, d=4, d_v=3, ctx=5, emb=4, hidden=6):
     return tc.init_tcpgen_params(stream, d, d_v, ctx, emb, hidden)
@@ -57,9 +59,10 @@ def test_query_rnnt_uses_encoder_state_and_batches():
     h = Stream(8).gauss_array((6, 5))
     y = Stream(9).gauss_array((4,))
     q2 = tc.query_rnnt(p, Tensor(h), Tensor(y))
+    assert q2.data.shape == (6, 4)
     for t in range(6):
-        q1 = tc.query_rnnt(p, Tensor(h[t]), Tensor(y))
-        assert np.max(np.abs(q2.data[t] - q1.data)) < 1e-12
+        q1 = p.wq_c.data @ h[t] + p.wq_y.data @ y
+        assert np.max(np.abs(q2.data[t] - q1)) < 1e-12
 
 
 # -- attention ------------------------------------------------------------
@@ -195,25 +198,26 @@ def test_interpolate_aed_inert_when_all_ool():
 
 def test_interpolate_rnnt_hand_case():
     # model {blank: 0.5, a: 0.25, b: 0.25}; ptr {a: .6, b: .2, OOL: .2}; gen .5
-    p_mdl = Tensor(np.array([0.25, 0.25, 0.5]))  # blank slot last
-    ptr = make_ptr([0.6, 0.2, 0.2], 0.5)
+    p_mdl = Tensor(np.array([[0.25, 0.25, 0.5]]))  # one frame, blank slot last
+    ptr = one_row(make_ptr([0.6, 0.2, 0.2], 0.5))
     out = tc.interpolate_rnnt(p_mdl, ptr, n_lexical=2)
-    assert out.data[2] == pytest.approx(0.5)
-    assert out.data[0] == pytest.approx(0.30)
-    assert out.data[1] == pytest.approx(0.20)
+    assert out.data.shape == (1, 3)
+    assert out.data[0, 2] == pytest.approx(0.5)
+    assert out.data[0, 0] == pytest.approx(0.30)
+    assert out.data[0, 1] == pytest.approx(0.20)
     assert out.data.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interpolate_rnnt_zero_gen_is_model():
-    p_mdl = Tensor(np.array([0.25, 0.25, 0.5]))
-    ptr = make_ptr([0.6, 0.2, 0.2], 0.0)
+    p_mdl = Tensor(np.array([[0.25, 0.25, 0.5]]))
+    ptr = one_row(make_ptr([0.6, 0.2, 0.2], 0.0))
     out = tc.interpolate_rnnt(p_mdl, ptr, n_lexical=2)
     assert np.array_equal(out.data, p_mdl.data)
 
 
 def test_interpolate_rnnt_all_blank_kills_pointer():
-    p_mdl = Tensor(np.array([0.0, 0.0, 1.0]))
-    ptr = make_ptr([0.6, 0.2, 0.2], 0.7)
+    p_mdl = Tensor(np.array([[0.0, 0.0, 1.0]]))
+    ptr = one_row(make_ptr([0.6, 0.2, 0.2], 0.7))
     out = tc.interpolate_rnnt(p_mdl, ptr, n_lexical=2)
     assert np.allclose(out.data, p_mdl.data, atol=1e-15)
 
@@ -237,7 +241,7 @@ def test_normalization_randomized():
         p_ptr[L] = probs[-1]
         ptr = make_ptr(p_ptr, stream.uniform())
         out_a = tc.interpolate_aed(Tensor(p_mdl), ptr, L)
-        out_r = tc.interpolate_rnnt(Tensor(p_mdl), ptr, L)
+        out_r = tc.interpolate_rnnt(Tensor(p_mdl[None]), one_row(ptr), L)
         for out in (out_a, out_r):
             assert abs(out.data.sum() - 1.0) < 1e-9
             assert np.all(out.data >= 0.0)

@@ -80,7 +80,7 @@ def test_aed_step_distribution_sums_to_one(variant):
     state = m.init_state()
     tree_state = ROOT_STATE
     for tok in [0, 2, 1]:
-        valid = valid_set(tree, tree_state) if variant != "baseline" else None
+        valid = valid_set(tree, tree_state) if variant != "baseline" else set()
         p, state, _ = m.step(h_enc, state, tok, valid)
         assert abs(p.data.sum() - 1.0) < 1e-9
         assert np.all(p.data >= 0)
@@ -93,7 +93,7 @@ def test_rnnt_joint_distribution_sums_to_one(variant):
     tree = build_tree(TINY_VOCAB, ["KATO", "TORI"])
     h_enc = m.encode(Stream(10).gauss_array((4, 2)))
     h_pred = m.predictor_step(m.init_pred_state(), TINY_VOCAB.sos)
-    valid = valid_set(tree, ROOT_STATE) if variant != "baseline" else None
+    valid = valid_set(tree, ROOT_STATE) if variant != "baseline" else set()
     p, _ = m.joint_rows(h_pred, h_enc, TINY_VOCAB.sos, valid)
     sums = p.data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
@@ -115,7 +115,7 @@ def test_empty_tree_inertness_vs_baseline(family, variant):
     assert abs(l0 - l1) < 1e-9
     if family == "aed":
         h0 = base.encode(feats)
-        p0, _, _ = base.step(h0, base.init_state(), TINY_VOCAB.sos, None)
+        p0, _, _ = base.step(h0, base.init_state(), TINY_VOCAB.sos, set())
         p1, _, _ = biased.step(biased.encode(feats), biased.init_state(),
                                TINY_VOCAB.sos, set())
         assert np.max(np.abs(p0.data - p1.data)) < 1e-12
@@ -161,6 +161,30 @@ def test_aed_loss_matches_gathered_step_logprobs():
             tree_state = advance_state(tree, tree_state, tgt)
             y_prev = tgt
     assert loss == pytest.approx(total, rel=1e-12)
+
+
+def test_rnnt_lattice_matches_hand_replayed_joint_rows():
+    m = tiny_model("rnnt", "tcpgen_db", 30)
+    tree = build_tree(TINY_VOCAB, ["KATO", "KARI"])
+    feats = Stream(31).gauss_array((4, 2))
+    # TO leaves the tree, KA_ ends that word back at the root, KA RI_
+    # re-enters the tree and completes KARI
+    targets = [1, 2, 0, 4]
+    lattice = m.log_lattice(feats, targets, tree).data
+    h_enc = m.encode(feats)
+    state = m.init_pred_state()
+    tree_state = ROOT_STATE
+    y_prev = TINY_VOCAB.sos
+    valids = []
+    for u in range(len(targets) + 1):
+        state = m.predictor_step(state, y_prev)
+        valids.append(valid_set(tree, tree_state))
+        p, _ = m.joint_rows(state, h_enc, y_prev, valids[-1])
+        assert lattice[u] == pytest.approx(np.log(p.data), rel=1e-12)
+        if u < len(targets):
+            tree_state = advance_state(tree, tree_state, targets[u])
+            y_prev = targets[u]
+    assert valids == [{0}, set(), {0}, {3, 4}, {0}]
 
 
 # -- transducer loss -------------------------------------------------------
