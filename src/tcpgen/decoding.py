@@ -3,9 +3,12 @@ states, optional shallow fusion with a subword bigram LM, and n-best output.
 
 The encoder-decoder search is label-synchronous; the transducer search is
 time-synchronous with a per-frame emission cap, merging duplicate label
-sequences by log-sum-exp.  All searches run without gradient recording and
-break score ties by token-id lexicographic order, so decoding is
-deterministic.
+sequences by log-sum-exp.  The transducer search expands survivors only:
+each emission step ranks the frontier's label scores as one matrix and
+steps the predictor, tree cursor and LM for the top `beam` labels alone,
+so the model work per step grows with the beam, not with beam x
+vocabulary.  All searches run without gradient recording and break score
+ties by token-id lexicographic order, so decoding is deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ class DecodeConfig:
             raise ValueError("beam width must be >= 1")
         if self.lm_weight < 0:
             raise ValueError("LM weight must be >= 0")
+        if self.max_symbols_per_frame < 0:
+            raise ValueError("max_symbols_per_frame must be >= 0")
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
 
 
 @dataclass
@@ -121,8 +128,7 @@ def beam_search_aed(model, features: np.ndarray, tree: PrefixTree | None,
     """
     vocab = model.vocab
     L = vocab.n_lexical
-    biasing = model.cfg.variant != "baseline"
-    get_valid, advance = _tree_ops(tree, biasing)
+    get_valid, advance = _tree_ops(tree, model.cfg.biased)
     with ad.no_grad():
         h_enc = model.encode(features)
         init = Hypothesis(tokens=(), log_score=0.0,
@@ -168,7 +174,28 @@ def beam_search_aed(model, features: np.ndarray, tree: PrefixTree | None,
         for hyp in active:   # ran out of length budget
             finished.append(replace(hyp, finished=True, hit_max_len=True))
         finished.sort(key=Hypothesis.sort_key)
-        return finished[:max(cfg.beam, 1)]
+        return finished[:cfg.beam]
+
+
+def _top_labels(scores: np.ndarray, prefixes: list[tuple[int, ...]],
+                k: int) -> list[tuple[int, int, float]]:
+    """The k best finite entries of an (F, L) score matrix as (row, label,
+    score), in `Hypothesis.sort_key` order: score descending, then the token
+    tuple prefixes[row] + (label,).
+
+    A partition threshold keeps only the entries that can rank in the top
+    k; ties at the threshold are all kept and settled by the full key.
+    """
+    L = scores.shape[1]
+    flat = scores.ravel()
+    idx = np.flatnonzero(flat != -math.inf)
+    if idx.size > k:
+        vals = flat[idx]
+        kth = np.partition(vals, idx.size - k)[idx.size - k]
+        idx = idx[vals >= kth]
+    keyed = sorted((-flat[i], prefixes[i // L] + (i % L,), i)
+                   for i in idx.tolist())
+    return [(i // L, i % L, flat[i]) for _, _, i in keyed[:k]]
 
 
 def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
@@ -177,13 +204,14 @@ def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
 
     At each frame every hypothesis may emit up to max_symbols_per_frame
     labels and then a blank; hypotheses with identical label sequences are
-    merged by log-sum-exp when they re-enter the per-frame beam.  The tree
-    state advances on labels only.
+    merged by log-sum-exp when they re-enter the per-frame beam.  Each
+    emission step scores the whole frontier as one (F, L) label matrix and
+    keeps its top `beam` entries; only those survivors get a predictor
+    step, a tree-cursor advance (labels only) and an LM advance.
     """
     vocab = model.vocab
     L = vocab.n_lexical
-    biasing = model.cfg.variant != "baseline"
-    get_valid, advance = _tree_ops(tree, biasing)
+    get_valid, advance = _tree_ops(tree, model.cfg.biased)
     with ad.no_grad():
         h_enc = model.encode(features)
         T = h_enc.data.shape[0]
@@ -198,7 +226,7 @@ def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
             merged: dict[tuple[int, ...], Hypothesis] = {}
             frontier = beam
             for s in range(cfg.max_symbols_per_frame + 1):
-                expansions: list[Hypothesis] = []
+                label_scores = []
                 for hyp in frontier:
                     y_prev = hyp.tokens[-1] if hyp.tokens else vocab.sos
                     p, _ = model.joint_rows(hyp.model_state, frame_rows[t],
@@ -216,18 +244,21 @@ def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
                     if lm is not None and cfg.lm_weight > 0:
                         logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
                                        include_eos=False)
-                    for sym in range(L):
-                        score = hyp.log_score + logp[sym]
-                        if score == -math.inf:
-                            continue
-                        expansions.append(Hypothesis(
-                            tokens=hyp.tokens + (sym,), log_score=score,
-                            model_state=model.predictor_step(hyp.model_state, sym),
-                            tree_state=advance(hyp.tree_state, sym),
-                            lm_state=(lm.advance(hyp.lm_state, sym)
-                                      if lm else None)))
-                expansions.sort(key=Hypothesis.sort_key)
-                frontier = expansions[:cfg.beam]
+                    label_scores.append(hyp.log_score + logp[:L])
+                if not label_scores:
+                    break
+                survivors = []
+                for row, sym, score in _top_labels(
+                        np.stack(label_scores), [h.tokens for h in frontier],
+                        cfg.beam):
+                    parent = frontier[row]
+                    survivors.append(Hypothesis(
+                        tokens=parent.tokens + (sym,), log_score=score,
+                        model_state=model.predictor_step(parent.model_state, sym),
+                        tree_state=advance(parent.tree_state, sym),
+                        lm_state=(lm.advance(parent.lm_state, sym)
+                                  if lm else None)))
+                frontier = survivors
                 if not frontier:
                     break
             beam = sorted(merged.values(), key=Hypothesis.sort_key)[:cfg.beam]

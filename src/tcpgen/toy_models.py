@@ -50,6 +50,11 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
+    def biased(self) -> bool:
+        """Whether the model reads the biasing tree's valid sets."""
+        return self.variant != "baseline"
+
+    @property
     def uses_tcpgen(self) -> bool:
         return self.variant in ("tcpgen", "tcpgen_db")
 
@@ -153,7 +158,7 @@ class ToyModel:
         Yields (y_prev, valid) before each of the len(targets) + 1 output
         steps.  `valid` is empty for the baseline or without a tree.
         """
-        if self.cfg.variant == "baseline":
+        if not self.cfg.biased:
             tree = None
         y_prev, cursor = self.vocab.sos, ROOT_STATE
         for u in range(len(targets) + 1):
@@ -456,7 +461,6 @@ def build_train_tree(vocab: SubwordVocab, ref_words, rare: set[str],
 def train(model, cfg: TrainConfig, items: list[TrainItem], rare: set[str],
           seed: int, log=None) -> list[float]:
     """Train in place; returns per-epoch mean losses.  Deterministic in seed."""
-    biasing = model.cfg.variant != "baseline"
     optim = Adam(model.named_params(), cfg)
     rare = set(rare)
     epoch_losses = []
@@ -470,7 +474,7 @@ def train(model, cfg: TrainConfig, items: list[TrainItem], rare: set[str],
             for idx in order[b0:b0 + cfg.batch_size]:
                 item = items[idx]
                 tree = None
-                if biasing:
+                if model.cfg.biased:
                     tree = build_train_tree(
                         model.vocab, item.ref_words, rare, cfg.drop_rate,
                         cfg.distractors,

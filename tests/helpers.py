@@ -1,13 +1,15 @@
 """Shared independent oracles and small-instance builders for the tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from tcpgen import autodiff as ad
 from tcpgen import tcpgen_core as tc
 from tcpgen.autodiff import Tensor
-from tcpgen.biasing_tree import build_tree
+from tcpgen.biasing_tree import ROOT_STATE, advance_state, build_tree, valid_set
+from tcpgen.decoding import Hypothesis, fuse_lm
 from tcpgen.lexicon import SubwordVocab
 from tcpgen.rng import Stream
 from tcpgen.toy_models import ModelConfig, build_model
@@ -132,6 +134,7 @@ def random_tree_case(stream, max_words: int = 50, max_stream: int = 100):
 
 class _FakeCfg:
     variant = "baseline"
+    biased = False
 
 
 class FakeAED:
@@ -203,6 +206,71 @@ def enumerate_rnnt_marginals(table, T: int, n_lexical: int, cap: int):
 
     rec(0, [], 0, 0.0)
     return out
+
+
+def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
+    """The transducer beam search that expands every label of every
+    frontier hypothesis before pruning (predictor step, tree and LM advance
+    for all of them).  Reference for the survivors-only search, which must
+    return the same n-best bit for bit."""
+    vocab = model.vocab
+    L = vocab.n_lexical
+    biasing = model.cfg.variant != "baseline"
+    if not biasing or tree is None:
+        get_valid, advance = (lambda st: set()), (lambda st, tok: st)
+    else:
+        get_valid = lambda st: valid_set(tree, st)              # noqa: E731
+        advance = lambda st, tok: advance_state(tree, st, tok)  # noqa: E731
+    with ad.no_grad():
+        h_enc = model.encode(features)
+        T = h_enc.data.shape[0]
+        frame_rows = [Tensor(h_enc.data[t:t + 1]) for t in range(T)]
+        init = Hypothesis(tokens=(), log_score=0.0,
+                          model_state=model.predictor_step(model.init_pred_state(),
+                                                           vocab.sos),
+                          tree_state=ROOT_STATE,
+                          lm_state=lm.initial_state() if lm else None)
+        beam = [init]
+        for t in range(T):
+            merged: dict[tuple[int, ...], Hypothesis] = {}
+            frontier = beam
+            for s in range(cfg.max_symbols_per_frame + 1):
+                expansions: list[Hypothesis] = []
+                for hyp in frontier:
+                    y_prev = hyp.tokens[-1] if hyp.tokens else vocab.sos
+                    p, _ = model.joint_rows(hyp.model_state, frame_rows[t],
+                                            y_prev, get_valid(hyp.tree_state))
+                    with np.errstate(divide="ignore"):
+                        logp = np.log(p.data[0])
+                    blank_score = hyp.log_score + logp[L]
+                    prev = merged.get(hyp.tokens)
+                    if prev is None:
+                        merged[hyp.tokens] = replace(hyp, log_score=blank_score)
+                    else:
+                        prev.log_score = np.logaddexp(prev.log_score, blank_score)
+                    if s == cfg.max_symbols_per_frame:
+                        continue
+                    if lm is not None and cfg.lm_weight > 0:
+                        logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
+                                       include_eos=False)
+                    for sym in range(L):
+                        score = hyp.log_score + logp[sym]
+                        if score == -math.inf:
+                            continue
+                        expansions.append(Hypothesis(
+                            tokens=hyp.tokens + (sym,), log_score=score,
+                            model_state=model.predictor_step(hyp.model_state, sym),
+                            tree_state=advance(hyp.tree_state, sym),
+                            lm_state=(lm.advance(hyp.lm_state, sym)
+                                      if lm else None)))
+                expansions.sort(key=Hypothesis.sort_key)
+                frontier = expansions[:cfg.beam]
+                if not frontier:
+                    break
+            beam = sorted(merged.values(), key=Hypothesis.sort_key)[:cfg.beam]
+        for hyp in beam:
+            hyp.finished = True
+        return beam
 
 
 def fd_param_check(model, loss_fn, step: float = 1e-5, rel_tol: float = 1e-4):

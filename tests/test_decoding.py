@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tcpgen import autodiff as ad
-from tcpgen.biasing_tree import ROOT_STATE, advance_state, build_tree
+from tcpgen.biasing_tree import (DETACHED_STATE, ROOT_STATE, advance_state,
+                                 build_tree)
 from tcpgen.decoding import (BigramLM, DecodeConfig, beam_search_aed,
                              beam_search_rnnt, format_nbest, fuse_lm,
                              hypothesis_words, train_bigram_lm)
@@ -12,7 +13,8 @@ from tcpgen.lexicon import SubwordVocab
 from tcpgen.rng import Stream
 
 from helpers import (FakeAED, FakeRNNT, TINY_VOCAB, copy_shared_weights,
-                     enumerate_rnnt_marginals, tiny_model)
+                     enumerate_rnnt_marginals, reference_beam_search_rnnt,
+                     tiny_model)
 
 V2 = SubwordVocab(["A_", "B_"])   # 2 lexical units
 
@@ -153,6 +155,87 @@ def test_rnnt_real_model_top1_matches_enumeration():
     ranked = sorted(out.items(), key=lambda kv: (-kv[1], kv[0]))
     assert hyps[0].tokens == ranked[0][0]
     assert hyps[0].log_score == pytest.approx(ranked[0][1], abs=1e-10)
+
+
+# -- survivors-only transducer search vs the full-expansion reference -------
+
+def nbest_fields(hyps):
+    return [(h.tokens, h.log_score, h.tree_state, h.lm_state, h.finished)
+            for h in hyps]
+
+
+RNNT_GRID = [DecodeConfig(beam=beam, lm_weight=lam, max_symbols_per_frame=cap)
+             for beam in (1, 2, 4, 64) for cap in (0, 1, 3)
+             for lam in (0.0, 0.7)]
+
+
+@pytest.mark.parametrize("variant", ["baseline", "db", "tcpgen", "tcpgen_db"])
+def test_rnnt_search_matches_full_expansion_reference(variant):
+    m = tiny_model("rnnt", variant, 70)
+    lm = train_bigram_lm([[0, 1, 3], [2, 4], [1, 1, 0]], TINY_VOCAB)
+    trees = [None, build_tree(TINY_VOCAB, []),
+             build_tree(TINY_VOCAB, ["KATO", "KARI", "TORI"])]
+    feats = Stream(71).gauss_array((4, 2))
+    detached = False
+    for tree in trees:
+        for cfg in RNNT_GRID:
+            use_lm = lm if cfg.lm_weight > 0 else None
+            got = beam_search_rnnt(m, feats, tree, cfg, lm=use_lm)
+            want = reference_beam_search_rnnt(m, feats, tree, cfg, lm=use_lm)
+            assert nbest_fields(got) == nbest_fields(want), (tree, cfg)
+            detached |= any(h.tree_state == DETACHED_STATE for h in got)
+    # the 3-word tree's cursor leaves the tree on some kept hypothesis
+    assert detached == (variant != "baseline")
+
+
+def test_rnnt_search_breaks_exact_score_ties_by_tokens():
+    T, L = 3, TINY_VOCAB.n_lexical
+    flat = [1.0 / (L + 1)] * (L + 1)
+    table = {(t, u): flat for t in range(T) for u in range(T * 3 + 1)}
+    m = FakeRNNT(TINY_VOCAB, table)
+    lm = train_bigram_lm([[0, 1, 3], [2, 4]], TINY_VOCAB)
+    for cfg in RNNT_GRID:
+        use_lm = lm if cfg.lm_weight > 0 else None
+        got = beam_search_rnnt(m, np.zeros((T, 1)), None, cfg, lm=use_lm)
+        want = reference_beam_search_rnnt(m, np.zeros((T, 1)), None, cfg,
+                                          lm=use_lm)
+        assert nbest_fields(got) == nbest_fields(want), cfg
+    # (1,) outranks (0,), yet (1, 1) and (0, 0) score log .59 + log .4 in
+    # either order of addition: the beam-2 frontier keeps (0, 0) by tokens
+    swap = {(0, 0): [0.4, 0.59, 0.01], (0, 1): [0.59, 0.4, 0.01],
+            (0, 2): [0.005, 0.005, 0.99]}
+    best = beam_search_rnnt(FakeRNNT(V2, swap), np.zeros((1, 1)), None,
+                            DecodeConfig(beam=2, max_symbols_per_frame=2))
+    assert [h.tokens for h in best] == [(1, 0), (0, 0)]
+
+
+def test_rnnt_search_steps_predictor_for_survivors_only():
+    m = tiny_model("rnnt", "tcpgen", 72)
+    calls = 0
+    step = m.predictor_step
+
+    def counting_step(state, y_in):
+        nonlocal calls
+        calls += 1
+        return step(state, y_in)
+
+    m.predictor_step = counting_step
+    feats = Stream(73).gauss_array((6, 2))
+    T = m.encode(feats).data.shape[0]
+    tree = build_tree(TINY_VOCAB, ["KATO", "KARI", "TORI"])
+    for beam, cap in ((1, 1), (2, 3), (4, 2)):
+        calls = 0
+        beam_search_rnnt(m, feats, tree,
+                         DecodeConfig(beam=beam, max_symbols_per_frame=cap))
+        assert 0 < calls <= 1 + beam * cap * T, (beam, cap, calls)
+
+
+def test_decode_config_rejects_bad_values():
+    for bad in (dict(beam=0), dict(lm_weight=-0.1),
+                dict(max_symbols_per_frame=-1), dict(max_len=0)):
+        with pytest.raises(ValueError):
+            DecodeConfig(**bad)
+    DecodeConfig(beam=1, lm_weight=0.0, max_symbols_per_frame=0, max_len=1)
 
 
 # -- inertness ---------------------------------------------------------------
