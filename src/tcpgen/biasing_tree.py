@@ -30,51 +30,35 @@ DETACHED_STATE = TreeState(DETACHED)
 class PrefixTree:
     """Trie over token sequences of accepted biasing words.
 
-    nodes[i] is a dict subword-id -> child node id; word_end[i] marks nodes
-    completing at least one biasing word.  Node 0 is the root.
+    children[i] is a dict subword-id -> child node id; node 0 is the root.
+    A word ends on the edge of its word-final unit.
     """
 
     def __init__(self, word_final: tuple[bool, ...]):
         self.children: list[dict[int, int]] = [{}]
-        self.word_end: list[bool] = [False]
         self.word_final = word_final  # per lexical id, from the vocab
-        self.n_words = 0
-        self.skipped: tuple[str, ...] = ()
-
-    def insert(self, ids) -> None:
-        node = ROOT
-        for sid in ids:
-            nxt = self.children[node].get(sid)
-            if nxt is None:
-                nxt = len(self.children)
-                self.children[node][sid] = nxt
-                self.children.append({})
-                self.word_end.append(False)
-            node = nxt
-        self.word_end[node] = True
-        self.n_words += 1
-
-    def __len__(self) -> int:
-        return len(self.children)
 
 
 def build_tree(vocab: SubwordVocab, words) -> PrefixTree:
     """Build the trie for `words`; unsegmentable words are skipped.
 
-    Duplicates collapse (set semantics).  Skipped words are recorded on
-    `tree.skipped` for the caller to report.  An empty accepted set yields
-    a single-root tree, which disables biasing downstream.
+    Duplicates collapse (set semantics).  An empty accepted set yields a
+    single-root tree, which disables biasing downstream.
     """
     tree = PrefixTree(tuple(vocab._word_final))
-    skipped = []
+    children = tree.children
     for word in sorted(set(words)):
         try:
-            seq = tokenize_word(vocab, word)
+            ids = tokenize_word(vocab, word).ids
         except (UnsegmentableWord, ValueError):
-            skipped.append(word)
             continue
-        tree.insert(seq.ids)
-    tree.skipped = tuple(skipped)
+        node = children[ROOT]
+        for sid in ids:
+            nxt = node.get(sid)
+            if nxt is None:
+                nxt = node[sid] = len(children)
+                children.append({})
+            node = children[nxt]
     return tree
 
 

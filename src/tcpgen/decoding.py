@@ -3,12 +3,16 @@ states, optional shallow fusion with a subword bigram LM, and n-best output.
 
 The encoder-decoder search is label-synchronous; the transducer search is
 time-synchronous with a per-frame emission cap, merging duplicate label
-sequences by log-sum-exp.  The transducer search expands survivors only:
-each emission step ranks the frontier's label scores as one matrix and
-steps the predictor, tree cursor and LM for the top `beam` labels alone,
-so the model work per step grows with the beam, not with beam x
-vocabulary.  All searches run without gradient recording and break score
-ties by token-id lexicographic order, so decoding is deterministic.
+sequences by log-sum-exp.  Both share one expansion step that builds
+survivors only: each frontier hypothesis adds its log-probs (LM-fused when
+an LM is set) to its score as one row of an (F, L) label matrix, the top
+`beam` entries are taken, and only those get a `Hypothesis`, a tree-cursor
+and LM advance, and a child model state (the encoder-decoder reuses the
+parent's decoder step; the transducer steps its predictor).  The work per
+step thus grows with the beam, not with beam x vocabulary.  A model
+without biasing decodes with no tree.  All searches run without gradient
+recording and break score ties by token-id lexicographic order, so
+decoding is deterministic.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class Hypothesis:
     model_state: object
     tree_state: TreeState
     lm_state: int | None = None
-    finished: bool = False
     hit_max_len: bool = False
 
     def sort_key(self):
@@ -112,69 +115,24 @@ def fuse_lm(step_logprob: np.ndarray, lm: BigramLM, lm_state: int,
     return out
 
 
-def _tree_ops(tree: PrefixTree | None, biasing: bool):
-    if not biasing or tree is None:
-        return (lambda st: set()), (lambda st, tok: st)
-    return (lambda st: valid_set(tree, st)), (lambda st, tok: advance_state(tree, st, tok))
+def _start(model_state, lm: BigramLM | None) -> Hypothesis:
+    return Hypothesis(tokens=(), log_score=0.0, model_state=model_state,
+                      tree_state=ROOT_STATE,
+                      lm_state=lm.initial_state() if lm else None)
 
 
-def beam_search_aed(model, features: np.ndarray, tree: PrefixTree | None,
-                    cfg: DecodeConfig, lm: BigramLM | None = None) -> list[Hypothesis]:
-    """Label-synchronous beam search; hypotheses finish on EOS.
+def _valid(tree: PrefixTree | None, hyp: Hypothesis) -> set[int]:
+    return set() if tree is None else valid_set(tree, hyp.tree_state)
 
-    Returns hypotheses ranked by log score (ties broken by token ids).
-    Hypotheses that reach max_len without EOS are finalized with
-    hit_max_len set.
-    """
-    vocab = model.vocab
-    L = vocab.n_lexical
-    get_valid, advance = _tree_ops(tree, model.cfg.biased)
-    with ad.no_grad():
-        h_enc = model.encode(features)
-        init = Hypothesis(tokens=(), log_score=0.0,
-                          model_state=model.init_state(),
-                          tree_state=ROOT_STATE,
-                          lm_state=lm.initial_state() if lm else None)
-        active = [init]
-        finished: list[Hypothesis] = []
-        for _ in range(cfg.max_len):
-            if not active:
-                break
-            cands: list[Hypothesis] = []
-            for hyp in active:
-                y_prev = hyp.tokens[-1] if hyp.tokens else vocab.sos
-                p, new_state, _ = model.step(h_enc, hyp.model_state, y_prev,
-                                             get_valid(hyp.tree_state))
-                with np.errstate(divide="ignore"):
-                    logp = np.log(p.data)
-                if lm is not None and cfg.lm_weight > 0:
-                    logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
-                                   include_eos=True)
-                for sym in range(L + 1):
-                    score = hyp.log_score + logp[sym]
-                    if score == -math.inf:
-                        continue
-                    if sym == L:   # EOS
-                        finished.append(replace(hyp, log_score=score,
-                                                finished=True))
-                    else:
-                        cands.append(Hypothesis(
-                            tokens=hyp.tokens + (sym,), log_score=score,
-                            model_state=new_state,
-                            tree_state=advance(hyp.tree_state, sym),
-                            lm_state=(lm.advance(hyp.lm_state, sym)
-                                      if lm else None)))
-            cands.sort(key=Hypothesis.sort_key)
-            active = cands[:cfg.beam]
-            if len(finished) >= cfg.beam:
-                finished.sort(key=Hypothesis.sort_key)
-                # scores only decrease, so a strictly worse frontier is done
-                if active and active[0].log_score < finished[cfg.beam - 1].log_score:
-                    break
-        for hyp in active:   # ran out of length budget
-            finished.append(replace(hyp, finished=True, hit_max_len=True))
-        finished.sort(key=Hypothesis.sort_key)
-        return finished[:cfg.beam]
+
+def _log_probs(p: np.ndarray, hyp: Hypothesis, lm: BigramLM | None,
+               cfg: DecodeConfig, include_eos: bool) -> np.ndarray:
+    """Log of one model row, fused with the LM when one is set."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    if lm is not None and cfg.lm_weight > 0:
+        logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight, include_eos)
+    return logp
 
 
 def _top_labels(scores: np.ndarray, prefixes: list[tuple[int, ...]],
@@ -198,72 +156,117 @@ def _top_labels(scores: np.ndarray, prefixes: list[tuple[int, ...]],
     return [(i // L, i % L, flat[i]) for _, _, i in keyed[:k]]
 
 
+def _survivors(frontier: list[Hypothesis], rows: list[np.ndarray], k: int,
+               tree: PrefixTree | None, lm: BigramLM | None,
+               child_state) -> list[Hypothesis]:
+    """The k best one-label extensions of `frontier`, where rows[i] holds
+    frontier[i]'s score plus each lexical label's log-prob.  Only these
+    survivors get a tree-cursor advance, an LM advance and the model state
+    `child_state(i, label)`."""
+    out = []
+    for row, sym, score in _top_labels(np.stack(rows),
+                                       [h.tokens for h in frontier], k):
+        parent = frontier[row]
+        out.append(Hypothesis(
+            tokens=parent.tokens + (sym,), log_score=score,
+            model_state=child_state(row, sym),
+            tree_state=(parent.tree_state if tree is None
+                        else advance_state(tree, parent.tree_state, sym)),
+            lm_state=lm.advance(parent.lm_state, sym) if lm else None))
+    return out
+
+
+def beam_search_aed(model, features: np.ndarray, tree: PrefixTree | None,
+                    cfg: DecodeConfig, lm: BigramLM | None = None) -> list[Hypothesis]:
+    """Label-synchronous beam search; hypotheses finish on EOS.
+
+    Each step runs the decoder once per active hypothesis; every finite EOS
+    score finishes a hypothesis, and the top `beam` lexical extensions,
+    which reuse their parent's decoder output state, stay active.  Returns
+    hypotheses ranked by log score (ties broken by token ids).  Hypotheses
+    that reach max_len without EOS are finalized with hit_max_len set.
+    """
+    vocab = model.vocab
+    L = vocab.n_lexical
+    if not model.cfg.biased:
+        tree = None
+    with ad.no_grad():
+        h_enc = model.encode(features)
+        active = [_start(model.init_state(), lm)]
+        finished: list[Hypothesis] = []
+        for _ in range(cfg.max_len):
+            if not active:
+                break
+            rows, states = [], []
+            for hyp in active:
+                y_prev = hyp.tokens[-1] if hyp.tokens else vocab.sos
+                p, new_state, _ = model.step(h_enc, hyp.model_state, y_prev,
+                                             _valid(tree, hyp))
+                logp = _log_probs(p.data, hyp, lm, cfg, include_eos=True)
+                eos_score = hyp.log_score + logp[L]
+                if eos_score != -math.inf:
+                    finished.append(replace(hyp, log_score=eos_score))
+                rows.append(hyp.log_score + logp[:L])
+                states.append(new_state)
+            active = _survivors(active, rows, cfg.beam, tree, lm,
+                                lambda row, sym: states[row])
+            if len(finished) >= cfg.beam:
+                finished.sort(key=Hypothesis.sort_key)
+                # scores only decrease, so a strictly worse frontier is done
+                if active and active[0].log_score < finished[cfg.beam - 1].log_score:
+                    break
+        for hyp in active:   # ran out of length budget
+            finished.append(replace(hyp, hit_max_len=True))
+        finished.sort(key=Hypothesis.sort_key)
+        return finished[:cfg.beam]
+
+
 def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
                      cfg: DecodeConfig, lm: BigramLM | None = None) -> list[Hypothesis]:
     """Time-synchronous beam search with a per-frame emission cap.
 
     At each frame every hypothesis may emit up to max_symbols_per_frame
     labels and then a blank; hypotheses with identical label sequences are
-    merged by log-sum-exp when they re-enter the per-frame beam.  Each
-    emission step scores the whole frontier as one (F, L) label matrix and
-    keeps its top `beam` entries; only those survivors get a predictor
-    step, a tree-cursor advance (labels only) and an LM advance.
+    merged by log-sum-exp when they re-enter the per-frame beam.  Only the
+    top `beam` label extensions of each emission step get a predictor step.
     """
     vocab = model.vocab
     L = vocab.n_lexical
-    get_valid, advance = _tree_ops(tree, model.cfg.biased)
+    if not model.cfg.biased:
+        tree = None
     with ad.no_grad():
         h_enc = model.encode(features)
         T = h_enc.data.shape[0]
         frame_rows = [Tensor(h_enc.data[t:t + 1]) for t in range(T)]
-        init = Hypothesis(tokens=(), log_score=0.0,
-                          model_state=model.predictor_step(model.init_pred_state(),
-                                                           vocab.sos),
-                          tree_state=ROOT_STATE,
-                          lm_state=lm.initial_state() if lm else None)
-        beam = [init]
+        beam = [_start(model.predictor_step(model.init_pred_state(), vocab.sos),
+                       lm)]
         for t in range(T):
             merged: dict[tuple[int, ...], Hypothesis] = {}
             frontier = beam
             for s in range(cfg.max_symbols_per_frame + 1):
-                label_scores = []
+                rows = []
                 for hyp in frontier:
                     y_prev = hyp.tokens[-1] if hyp.tokens else vocab.sos
                     p, _ = model.joint_rows(hyp.model_state, frame_rows[t],
-                                            y_prev, get_valid(hyp.tree_state))
-                    with np.errstate(divide="ignore"):
-                        logp = np.log(p.data[0])
+                                            y_prev, _valid(tree, hyp))
+                    # the blank slot takes no LM term
+                    logp = _log_probs(p.data[0], hyp, lm, cfg, include_eos=False)
                     blank_score = hyp.log_score + logp[L]
                     prev = merged.get(hyp.tokens)
                     if prev is None:
                         merged[hyp.tokens] = replace(hyp, log_score=blank_score)
                     else:
                         prev.log_score = np.logaddexp(prev.log_score, blank_score)
-                    if s == cfg.max_symbols_per_frame:
-                        continue
-                    if lm is not None and cfg.lm_weight > 0:
-                        logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
-                                       include_eos=False)
-                    label_scores.append(hyp.log_score + logp[:L])
-                if not label_scores:
+                    rows.append(hyp.log_score + logp[:L])
+                if s == cfg.max_symbols_per_frame:
                     break
-                survivors = []
-                for row, sym, score in _top_labels(
-                        np.stack(label_scores), [h.tokens for h in frontier],
-                        cfg.beam):
-                    parent = frontier[row]
-                    survivors.append(Hypothesis(
-                        tokens=parent.tokens + (sym,), log_score=score,
-                        model_state=model.predictor_step(parent.model_state, sym),
-                        tree_state=advance(parent.tree_state, sym),
-                        lm_state=(lm.advance(parent.lm_state, sym)
-                                  if lm else None)))
-                frontier = survivors
+                frontier = _survivors(
+                    frontier, rows, cfg.beam, tree, lm,
+                    lambda row, sym: model.predictor_step(frontier[row].model_state,
+                                                          sym))
                 if not frontier:
                     break
             beam = sorted(merged.values(), key=Hypothesis.sort_key)[:cfg.beam]
-        for hyp in beam:
-            hyp.finished = True
         return beam
 
 

@@ -98,10 +98,20 @@ class Stream:
             items[i], items[j] = items[j], items[i]
 
     def sample(self, seq, k: int) -> list:
-        """k distinct items, order deterministic; k capped at len(seq)."""
+        """k distinct items, order deterministic; k capped at len(seq).
+
+        Partial Fisher-Yates, swap i taking i + randint(n - i); the k draws
+        are one uint64 array (splitmix64 wraps mod 2^64 as on Python ints).
+        """
         items = list(seq)
-        k = min(k, len(items))
-        for i in range(k):
-            j = i + self.randint(len(items) - i)
-            items[i], items[j] = items[j], items[i]
+        n = len(items)
+        k = min(k, n)
+        if k > 0:
+            states = (np.arange(1, k + 1, dtype=np.uint64) * np.uint64(GAMMA)
+                      + np.uint64(self._state))
+            self._state = (self._state + k * GAMMA) & MASK64
+            offsets = mix64(states) % np.arange(n, n - k, -1, dtype=np.uint64)
+            for i, off in enumerate(offsets.tolist()):
+                j = i + off
+                items[i], items[j] = items[j], items[i]
         return items[:k]

@@ -96,6 +96,23 @@ def one_row(ptr: tc.PtrStep) -> tc.PtrStep:
                       p_gen_scaled=Tensor(ptr.p_gen_scaled.data.reshape(1)))
 
 
+def tree_words(vocab: SubwordVocab, tree) -> list[str]:
+    """The words a prefix tree holds, sorted: every path from the root that
+    ends on a word-final unit."""
+    words = []
+
+    def walk(node, prefix):
+        for sid, child in tree.children[node].items():
+            unit = vocab.units[sid]
+            if vocab.is_word_final(sid):
+                words.append(prefix + unit[:-1])
+            else:
+                walk(child, prefix + unit)
+
+    walk(0, "")
+    return sorted(words)
+
+
 def oracle_valid_set(word_token_seqs, emitted, word_final):
     """Naive matcher: longest suffix of tokens since the last word-final
     unit, matched against every biasing word's token-sequence prefixes."""
@@ -268,9 +285,67 @@ def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
                 if not frontier:
                     break
             beam = sorted(merged.values(), key=Hypothesis.sort_key)[:cfg.beam]
-        for hyp in beam:
-            hyp.finished = True
         return beam
+
+
+def reference_beam_search_aed(model, features, tree, cfg, lm=None):
+    """The encoder-decoder beam search that builds a hypothesis (tree and
+    LM advance included) for every finite label of every active hypothesis
+    before pruning.  Reference for the survivors-only search, which must
+    return the same n-best bit for bit."""
+    vocab = model.vocab
+    L = vocab.n_lexical
+    biasing = model.cfg.variant != "baseline"
+    if not biasing or tree is None:
+        get_valid, advance = (lambda st: set()), (lambda st, tok: st)
+    else:
+        get_valid = lambda st: valid_set(tree, st)              # noqa: E731
+        advance = lambda st, tok: advance_state(tree, st, tok)  # noqa: E731
+    with ad.no_grad():
+        h_enc = model.encode(features)
+        init = Hypothesis(tokens=(), log_score=0.0,
+                          model_state=model.init_state(),
+                          tree_state=ROOT_STATE,
+                          lm_state=lm.initial_state() if lm else None)
+        active = [init]
+        finished: list[Hypothesis] = []
+        for _ in range(cfg.max_len):
+            if not active:
+                break
+            cands: list[Hypothesis] = []
+            for hyp in active:
+                y_prev = hyp.tokens[-1] if hyp.tokens else vocab.sos
+                p, new_state, _ = model.step(h_enc, hyp.model_state, y_prev,
+                                             get_valid(hyp.tree_state))
+                with np.errstate(divide="ignore"):
+                    logp = np.log(p.data)
+                if lm is not None and cfg.lm_weight > 0:
+                    logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
+                                   include_eos=True)
+                for sym in range(L + 1):
+                    score = hyp.log_score + logp[sym]
+                    if score == -math.inf:
+                        continue
+                    if sym == L:   # EOS
+                        finished.append(replace(hyp, log_score=score))
+                    else:
+                        cands.append(Hypothesis(
+                            tokens=hyp.tokens + (sym,), log_score=score,
+                            model_state=new_state,
+                            tree_state=advance(hyp.tree_state, sym),
+                            lm_state=(lm.advance(hyp.lm_state, sym)
+                                      if lm else None)))
+            cands.sort(key=Hypothesis.sort_key)
+            active = cands[:cfg.beam]
+            if len(finished) >= cfg.beam:
+                finished.sort(key=Hypothesis.sort_key)
+                # scores only decrease, so a strictly worse frontier is done
+                if active and active[0].log_score < finished[cfg.beam - 1].log_score:
+                    break
+        for hyp in active:   # ran out of length budget
+            finished.append(replace(hyp, hit_max_len=True))
+        finished.sort(key=Hypothesis.sort_key)
+        return finished[:cfg.beam]
 
 
 def fd_param_check(model, loss_fn, step: float = 1e-5, rel_tol: float = 1e-4):

@@ -5,7 +5,7 @@ from tcpgen.biasing_tree import (DETACHED_STATE, ROOT_STATE, TreeState,
                                  advance_state, build_tree, valid_set)
 from tcpgen.lexicon import SubwordVocab, UnsegmentableWord, tokenize_word
 
-from helpers import oracle_valid_set, random_tree_case
+from helpers import oracle_valid_set, random_tree_case, tree_words
 
 FIG_VOCAB = SubwordVocab(["TUR", "N_", "NER_", "IN_"])
 
@@ -20,9 +20,7 @@ def test_three_word_tree_structure():
     assert valid_set(tree, ROOT_STATE) == set(ids("TUR"))
     after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("TUR"))
     assert valid_set(tree, after_tur) == set(ids("N_", "NER_", "IN_"))
-    for unit in ("N_", "NER_", "IN_"):
-        node = tree.children[after_tur.node][FIG_VOCAB.units.index(unit)]
-        assert tree.word_end[node]
+    assert tree_words(FIG_VOCAB, tree) == ["TURIN", "TURN", "TURNER"]
 
 
 def test_two_word_tree_valid_pieces_after_tur():
@@ -34,28 +32,28 @@ def test_two_word_tree_valid_pieces_after_tur():
 
 def test_empty_list_gives_root_only_tree():
     tree = build_tree(FIG_VOCAB, [])
-    assert len(tree) == 1
+    assert len(tree.children) == 1
     assert valid_set(tree, ROOT_STATE) == set()
 
 
 def test_duplicates_collapse():
     a = build_tree(FIG_VOCAB, ["TURN", "TURN"])
     b = build_tree(FIG_VOCAB, ["TURN"])
-    assert a.children == b.children and a.word_end == b.word_end
+    assert a.children == b.children
+    assert tree_words(FIG_VOCAB, a) == ["TURN"]
 
 
 def test_unsegmentable_words_skipped_and_reported():
     v = SubwordVocab(["TUR", "N_"])
     tree = build_tree(v, ["TURN", "TURIN"])
-    assert tree.skipped == ("TURIN",)
-    assert tree.n_words == 1
+    assert tree_words(v, tree) == ["TURN"]
 
 
 def test_node_count_bound():
     words = ["TURN", "TURNER", "TURIN"]
     tree = build_tree(FIG_VOCAB, words)
     total_tokens = sum(len(tokenize_word(FIG_VOCAB, w)) for w in words)
-    assert len(tree) <= 1 + total_tokens
+    assert len(tree.children) <= 1 + total_tokens
 
 
 def test_word_final_resets_to_root():

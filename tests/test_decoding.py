@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tcpgen import autodiff as ad
+from tcpgen import decoding
 from tcpgen.biasing_tree import (DETACHED_STATE, ROOT_STATE, advance_state,
                                  build_tree)
 from tcpgen.decoding import (BigramLM, DecodeConfig, beam_search_aed,
@@ -13,8 +14,8 @@ from tcpgen.lexicon import SubwordVocab
 from tcpgen.rng import Stream
 
 from helpers import (FakeAED, FakeRNNT, TINY_VOCAB, copy_shared_weights,
-                     enumerate_rnnt_marginals, reference_beam_search_rnnt,
-                     tiny_model)
+                     enumerate_rnnt_marginals, reference_beam_search_aed,
+                     reference_beam_search_rnnt, tiny_model)
 
 V2 = SubwordVocab(["A_", "B_"])   # 2 lexical units
 
@@ -32,7 +33,7 @@ def test_aed_beam1_on_one_hot_model_is_greedy_argmax_chain():
                            DecodeConfig(beam=1, max_len=10))[0]
     assert best.tokens == (1, 0)
     assert best.log_score == pytest.approx(0.0, abs=1e-12)
-    assert best.finished and not best.hit_max_len
+    assert not best.hit_max_len
 
 
 def enumerate_aed(model, feats, max_len, lm=None, lam=0.0):
@@ -157,11 +158,84 @@ def test_rnnt_real_model_top1_matches_enumeration():
     assert hyps[0].log_score == pytest.approx(ranked[0][1], abs=1e-10)
 
 
-# -- survivors-only transducer search vs the full-expansion reference -------
+# -- survivors-only searches vs the full-expansion references ---------------
 
 def nbest_fields(hyps):
-    return [(h.tokens, h.log_score, h.tree_state, h.lm_state, h.finished)
+    return [(h.tokens, h.log_score, h.tree_state, h.lm_state, h.hit_max_len)
             for h in hyps]
+
+
+AED_GRID = [DecodeConfig(beam=beam, lm_weight=lam, max_len=max_len)
+            for beam in (1, 2, 4, 64) for max_len in (1, 3, 8)
+            for lam in (0.0, 0.7)]
+
+
+@pytest.mark.parametrize("variant", ["baseline", "db", "tcpgen", "tcpgen_db"])
+def test_aed_search_matches_full_expansion_reference(variant):
+    m = tiny_model("aed", variant, 74)
+    lm = train_bigram_lm([[0, 1, 3], [2, 4], [1, 1, 0]], TINY_VOCAB)
+    trees = [None, build_tree(TINY_VOCAB, []),
+             build_tree(TINY_VOCAB, ["KATO", "KARI", "TORI"])]
+    feats = Stream(75).gauss_array((4, 2))
+    detached = False
+    for tree in trees:
+        for cfg in AED_GRID:
+            use_lm = lm if cfg.lm_weight > 0 else None
+            got = beam_search_aed(m, feats, tree, cfg, lm=use_lm)
+            want = reference_beam_search_aed(m, feats, tree, cfg, lm=use_lm)
+            assert nbest_fields(got) == nbest_fields(want), (tree, cfg)
+            detached |= any(h.tree_state == DETACHED_STATE for h in got)
+    # the 3-word tree's cursor leaves the tree on some kept hypothesis
+    assert detached == (variant != "baseline")
+
+
+def test_aed_search_breaks_exact_score_ties_by_tokens():
+    flat = [1.0 / (TINY_VOCAB.n_lexical + 1)] * (TINY_VOCAB.n_lexical + 1)
+    m = FakeAED(TINY_VOCAB, [flat])
+    lm = train_bigram_lm([[0, 1, 3], [2, 4]], TINY_VOCAB)
+    for cfg in AED_GRID:
+        use_lm = lm if cfg.lm_weight > 0 else None
+        got = beam_search_aed(m, np.zeros((3, 1)), None, cfg, lm=use_lm)
+        want = reference_beam_search_aed(m, np.zeros((3, 1)), None, cfg,
+                                         lm=use_lm)
+        assert nbest_fields(got) == nbest_fields(want), cfg
+    # (1,) outranks (0,), yet (1, 1) and (0, 0) score log .59 + log .4 in
+    # either order of addition: the beam-2 frontier keeps (0, 0) by tokens
+    swap = [[0.4, 0.59, 0.01], [0.59, 0.4, 0.01], [0.005, 0.005, 0.99]]
+    best = beam_search_aed(FakeAED(V2, swap), np.zeros((1, 1)), None,
+                           DecodeConfig(beam=2, max_len=3))
+    assert [h.tokens for h in best] == [(1, 0), (0, 0)]
+
+
+def test_aed_search_advances_tree_for_survivors_only():
+    m = tiny_model("aed", "tcpgen", 76)
+    rounds = []           # advance_state calls after each batch of steps
+    in_round = False
+    step = m.step
+
+    def counting_step(*args):
+        nonlocal in_round
+        if not in_round:
+            rounds.append(0)
+            in_round = True
+        return step(*args)
+
+    def counting_advance(tree, state, emitted):
+        nonlocal in_round
+        in_round = False
+        rounds[-1] += 1
+        return advance_state(tree, state, emitted)
+
+    m.step = counting_step
+    feats = Stream(77).gauss_array((6, 2))
+    tree = build_tree(TINY_VOCAB, ["KATO", "KARI", "TORI"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoding, "advance_state", counting_advance)
+        for beam in (1, 2, 4):
+            rounds.clear()
+            in_round = False
+            beam_search_aed(m, feats, tree, DecodeConfig(beam=beam, max_len=8))
+            assert rounds and 0 < max(rounds) <= beam, (beam, rounds)
 
 
 RNNT_GRID = [DecodeConfig(beam=beam, lm_weight=lam, max_symbols_per_frame=cap)

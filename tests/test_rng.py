@@ -69,3 +69,24 @@ def test_sample_and_shuffle_deterministic():
     again = list(range(20))
     Stream(6).shuffle(again)
     assert items == again and sorted(items) == list(range(20))
+
+
+def reference_sample(stream: Stream, seq, k: int) -> list:
+    """Partial Fisher-Yates with one `randint` call per swap."""
+    items = list(seq)
+    k = min(k, len(items))
+    for i in range(k):
+        j = i + stream.randint(len(items) - i)
+        items[i], items[j] = items[j], items[i]
+    return items[:k]
+
+
+def test_sample_matches_one_randint_per_swap():
+    meta = Stream(7)
+    cases = [(meta.next_u64(), meta.randint(40), meta.randint(45))
+             for _ in range(300)]
+    cases += [(0, 5100, 5000), ((1 << 64) - 1, 50, 50), (1 << 63, 7, 0)]
+    for seed, n, k in cases:
+        got, want = Stream(seed), Stream(seed)
+        assert got.sample(range(n), k) == reference_sample(want, range(n), k)
+        assert got.next_u64() == want.next_u64(), (seed, n, k)

@@ -14,7 +14,8 @@ from tcpgen.toy_models import (Adam, ModelConfig, TrainConfig, TrainItem,
                                train, transducer_loss)
 
 from helpers import (TINY_VOCAB, copy_shared_weights, enumeration_transducer_loss,
-                     fd_param_check, random_log_lattice, tiny_instance, tiny_model)
+                     fd_param_check, random_log_lattice, tiny_instance, tiny_model,
+                     tree_words)
 
 
 # -- encoder ---------------------------------------------------------------
@@ -307,11 +308,12 @@ def test_build_train_tree_drop_extremes():
     rare = {"KATO", "KARI", "TORI"}
     ref = ("KATO", "KARI", "RIRI")
     t_full = build_train_tree(TINY_VOCAB, ref, rare, 0.0, 0, Stream(32))
-    assert t_full.n_words == 2      # both reference rare words kept
+    assert tree_words(TINY_VOCAB, t_full) == ["KARI", "KATO"]   # both kept
     t_none = build_train_tree(TINY_VOCAB, ref, rare, 1.0, 1, Stream(33))
-    assert t_none.n_words == 1      # distractor only
+    assert tree_words(TINY_VOCAB, t_none) == ["TORI"]   # distractor only
     t_only_distractors = build_train_tree(TINY_VOCAB, ref, rare, 1.0, 5, Stream(34))
-    assert t_only_distractors.n_words == 1   # pool is rare \ ref = {TORI}
+    # the pool is rare \ ref = {TORI}
+    assert tree_words(TINY_VOCAB, t_only_distractors) == ["TORI"]
 
 
 def make_items(n, seed):
