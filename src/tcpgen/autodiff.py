@@ -11,8 +11,8 @@ The op set: `add`, `mul` and `matmul` (also as `+ - * @`); elementwise
 `reshape`; `take` (also as `x[idx]`), the one indexing op, for an int, a
 slice, a tuple of them or an integer list; `cat`, the one concatenation
 op, along an existing axis, and `stack` along a new leading one;
-`scatter` into exact zeros; `softmax`; and `custom` for fused ops with
-analytic gradients.
+`scatter` into exact zeros along the last axis; `softmax`; and `custom`
+for fused ops with analytic gradients.
 """
 
 from __future__ import annotations
@@ -186,9 +186,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         elif ad.ndim == 1 and bd.ndim == 1:
             _accum(a, g * bd)
             _accum(b, g * ad)
-        elif ad.ndim == 3 and bd.ndim == 2:
-            _accum(a, g @ bd.T)
-            _accum(b, np.tensordot(ad, g, axes=([0, 1], [0, 1])))
         else:
             raise ValueError(f"unsupported matmul ranks {ad.ndim}@{bd.ndim}")
 
@@ -196,6 +193,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- elementwise nonlinearities -----------------------------------------
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow for large |x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                    np.exp(x) / (1.0 + np.exp(x)))
+
 
 def tanh(x: Tensor) -> Tensor:
     x = _as_tensor(x)
@@ -209,8 +212,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    val = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-x.data)),
-                   np.exp(x.data) / (1.0 + np.exp(x.data)))
+    val = _logistic(x.data)
 
     def bwd(g):
         _accum(x, g * val * (1.0 - val))
@@ -223,8 +225,7 @@ def softplus(x: Tensor) -> Tensor:
     val = np.logaddexp(0.0, x.data)
 
     def bwd(g):
-        _accum(x, g * np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-x.data)),
-                               np.exp(x.data) / (1.0 + np.exp(x.data))))
+        _accum(x, g * _logistic(x.data))
 
     return _node(val, (x,), bwd)
 
@@ -270,6 +271,7 @@ def cat(parts: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors of equal rank along an existing axis."""
     parts = [_as_tensor(p) for p in parts]
     val = np.concatenate([p.data for p in parts], axis=axis)
+    axis %= val.ndim
     lead = (slice(None),) * axis
 
     def bwd(g):
@@ -341,23 +343,17 @@ Tensor.__getitem__ = take
 
 
 def scatter(values: Tensor, idx, size: int) -> Tensor:
-    """Place `values` at positions `idx` of a zero vector of length `size`.
-
-    For 2-D `values` (rows x k), scatters along the last axis into
-    (rows x size).  Positions outside `idx` are exactly zero, which is how
-    masked attention keeps hard zeros off its support set.
+    """Place (..., k) `values` at positions `idx` along the last axis of a
+    (..., size) zero tensor.  Positions outside `idx` are exactly zero,
+    which is how masked attention keeps hard zeros off its support set.
     """
     values = _as_tensor(values)
     idx = np.asarray(idx, dtype=np.intp)
-    if values.data.ndim == 1:
-        val = np.zeros(size, dtype=np.float64)
-        val[idx] = values.data
-    else:
-        val = np.zeros((values.data.shape[0], size), dtype=np.float64)
-        val[:, idx] = values.data
+    val = np.zeros(values.data.shape[:-1] + (size,), dtype=np.float64)
+    val[..., idx] = values.data
 
     def bwd(g):
-        _accum(values, g[idx] if values.data.ndim == 1 else g[:, idx])
+        _accum(values, g[..., idx])
 
     return _node(val, (values,), bwd)
 

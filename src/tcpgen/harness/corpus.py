@@ -47,9 +47,6 @@ class SyntheticCorpus:
     index: dict[str, UttIndex]
     book_lines: list[str]
 
-    def transcripts(self, split: str) -> dict[str, list[str]]:
-        return self.train if split == "train" else self.test
-
 
 def build_vocab_text() -> str:
     units = list(SYLLABLES) + [s + WORD_END for s in SYLLABLES]

@@ -4,9 +4,13 @@ pointer output vector, generation probability, and distribution interpolation.
 The pointer distribution lives over lexical subwords plus a trailing OOL
 slot (index = number of lexical units).  Masking is done by restricting the
 softmax support to the valid set plus OOL — entries off that support are
-exact zeros, not large-negative approximations.  The encoder-decoder
-path evaluates one query vector per step; the transducer path evaluates a
-matrix of per-frame queries, one row per encoder position.
+exact zeros, not large-negative approximations.  The query, attention and
+generation-probability functions take one query as a vector or many as
+rows through the same code: the last axis is the feature or label axis and
+any leading axis is carried along.  The encoder-decoder model evaluates
+one vector per step and mixes it in with `interpolate_aed`; the transducer
+evaluates one row per encoder frame and mixes them in with
+`interpolate_rnnt`.
 """
 
 from __future__ import annotations
@@ -72,12 +76,13 @@ def init_tcpgen_params(stream: Stream, d: int, d_v: int, ctx_dim: int,
 
 @dataclass
 class PtrStep:
-    """One pointer evaluation.
+    """One pointer evaluation for a vector query (no leading axis) or for
+    query rows (leading axis T), the leading shape shared by every field.
 
-    p_ptr: (L+1,) (encoder-decoder) or (T, L+1) (transducer) — lexical
-           subwords plus OOL at index L, exactly zero off valid ∪ {OOL}.
-    h_ptr: (dv,) or (T, dv)
-    p_gen, p_gen_scaled: scalar or (T,)
+    p_ptr: (..., L+1)  lexical subwords plus OOL at index L, exactly zero
+                       off valid ∪ {OOL}
+    h_ptr: (..., dv)   pointer output vector
+    p_gen, p_gen_scaled: (...)
     """
 
     p_ptr: Tensor
@@ -86,25 +91,24 @@ class PtrStep:
     p_gen_scaled: Tensor
 
 
-def query_aed(params: TCPGenParams, c: Tensor, y_prev_emb: Tensor) -> Tensor:
-    """Pointer query from the attention context and the previous token only."""
-    return params.wq_c @ c + params.wq_y @ y_prev_emb
+def query(params: TCPGenParams, ctx: Tensor, y_prev_emb: Tensor) -> Tensor:
+    """Pointer query from context (..., ctx) and the previous token -> (..., d).
 
-
-def query_rnnt(params: TCPGenParams, h_enc: Tensor, y_prev_emb: Tensor) -> Tensor:
-    """Pointer queries from (T, enc) encoder rows -> (T, d)."""
-    return h_enc @ ad.transpose(params.wq_c) + params.wq_y @ y_prev_emb
+    The context is the attention context vector (encoder-decoder) or the
+    encoder rows (transducer)."""
+    return ctx @ ad.transpose(params.wq_c) + params.wq_y @ y_prev_emb
 
 
 def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
                   embeddings: Tensor, n_lexical: int) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention restricted to valid ∪ {OOL}.
 
-    Returns (p_ptr, h_ptr).  An empty valid set is legal: the softmax runs
-    over OOL alone, so p_ptr[OOL] = 1 and h_ptr is the OOL value vector.
+    Returns (p_ptr, h_ptr) for a (..., d) query.  An empty valid set is
+    legal: the softmax runs over OOL alone, so p_ptr[..., OOL] = 1 and h_ptr
+    is the OOL value vector.
     """
     support = sorted(valid)
-    if any(s >= n_lexical or s < 0 for s in support):
+    if support and (support[0] < 0 or support[-1] >= n_lexical):
         raise ValueError("valid set must contain lexical ids only")
     k_ool = ad.reshape(params.wk @ params.ool_emb, (1, -1))
     v_ool = ad.reshape(params.wv @ params.ool_emb, (1, -1))
@@ -115,10 +119,7 @@ def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
     else:
         keys, vals = k_ool, v_ool
     scale = 1.0 / math.sqrt(params.d)
-    if query.data.ndim == 2:
-        logits = (query @ ad.transpose(keys)) * scale
-    else:
-        logits = (keys @ query) * scale
+    logits = (query @ ad.transpose(keys)) * scale
     attn = ad.softmax(logits, axis=-1)
     p_ptr = ad.scatter(attn, support + [n_lexical], n_lexical + 1)
     h_ptr = attn @ vals
@@ -128,18 +129,15 @@ def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
 def generation_prob(params: TCPGenParams, hidden: Tensor, h_ptr: Tensor,
                     p_ool: Tensor) -> tuple[Tensor, Tensor]:
     """p_gen = sigmoid(Wgen [hidden; h_ptr]), and its OOL-scaled variant."""
-    wgen = params.wgen[0]
-    if hidden.data.ndim == 2:
-        z = ad.cat([hidden, h_ptr], axis=1) @ wgen
-    else:
-        z = wgen @ ad.cat([hidden, h_ptr])
+    z = ad.cat([hidden, h_ptr], axis=-1) @ params.wgen[0]
     p_gen = ad.clip(ad.sigmoid(z), P_GEN_FLOOR, 1.0 - P_GEN_FLOOR)
     return p_gen, p_gen * (1.0 - p_ool)
 
 
 def pointer_step(params: TCPGenParams, query: Tensor, valid: set[int],
                  embeddings: Tensor, hidden: Tensor, n_lexical: int) -> PtrStep:
-    """Full pointer evaluation: attention, output vector, generation prob."""
+    """Full pointer evaluation: attention, output vector, generation prob,
+    for a (..., d) query and a (..., hidden) state of equal leading shape."""
     p_ptr, h_ptr = ptr_attention(params, query, valid, embeddings, n_lexical)
     p_gen, p_gen_scaled = generation_prob(params, hidden, h_ptr,
                                           p_ptr[..., n_lexical])
@@ -149,7 +147,8 @@ def pointer_step(params: TCPGenParams, query: Tensor, valid: set[int],
 def interpolate_aed(p_mdl: Tensor, ptr: PtrStep, n_lexical: int) -> Tensor:
     """P(y) = P_mdl(y) (1 - scaled_gen) + P_ptr(y) p_gen, over lexical + EOS.
 
-    EOS gets no pointer mass; the pointer's OOL mass is absorbed through
+    One decoder step: p_mdl is (L+1,) and `ptr` has no leading axis.  EOS
+    gets no pointer mass; the pointer's OOL mass is absorbed through
     the scaled generation probability, so the result sums to one.
     """
     ptr_lex = ad.cat([ptr.p_ptr[:n_lexical], Tensor(np.zeros(1))])
@@ -161,8 +160,8 @@ def interpolate_rnnt(p_mdl: Tensor, ptr: PtrStep, n_lexical: int) -> Tensor:
 
     P(blank) passes through unchanged; lexical entries mix the model and
     pointer terms with the pointer side scaled by the total non-blank model
-    mass so the result sums to one.  Inputs are (T, L+1) rows, one per
-    encoder frame.
+    mass so the result sums to one.  p_mdl is (T, L+1), one row per
+    encoder frame, and `ptr` has the leading axis T.
     """
     L = n_lexical
     T = p_mdl.data.shape[0]

@@ -225,7 +225,7 @@ class ToyAED(ToyModel):
         p_mdl = ad.softmax(logits)
         ptr = None
         if self.tcpgen is not None:
-            q = tcp.query_aed(self.tcpgen, c, y_emb)
+            q = tcp.query(self.tcpgen, c, y_emb)
             ptr = tcp.pointer_step(self.tcpgen, q, valid, self.emb,
                                    h_dec, self.vocab.n_lexical)
             p = tcp.interpolate_aed(p_mdl, ptr, self.vocab.n_lexical)
@@ -264,8 +264,8 @@ class ToyRNNT(ToyModel):
         self.w_pred = _winit(stream, h, e + h)
         self.b_pred = ad.parameter(np.zeros(h))
         # joint input: [h_pred; h_enc] plus a biasing vector for db variants
-        self.bias_dim = e if cfg.variant == "db" else (
-            cfg.attn_val_dim if cfg.variant == "tcpgen_db" else 0)
+        self.bias_dim = 0 if not cfg.uses_db else (
+            cfg.attn_val_dim if cfg.uses_tcpgen else e)
         self.w_joint = _winit(stream, h, 2 * h + self.bias_dim)
         self.b_joint = ad.parameter(np.zeros(h))
         self.w_joint2 = _winit(stream, L + 1, h)    # lexical + BLANK
@@ -298,11 +298,11 @@ class ToyRNNT(ToyModel):
         p_ptr = h_ptr = None
         if self.tcpgen is not None:
             y_emb = self.emb[y_prev]
-            q = tcp.query_rnnt(self.tcpgen, h_enc, y_emb)
+            q = tcp.query(self.tcpgen, h_enc, y_emb)
             p_ptr, h_ptr = tcp.ptr_attention(self.tcpgen, q, valid, self.emb, L)
         if self.bias_dim:
             w_bias = self.w_joint[:, 2 * h:2 * h + self.bias_dim]
-            if self.cfg.variant == "tcpgen_db":
+            if self.tcpgen is not None:
                 z = z + h_ptr @ ad.transpose(w_bias)
             else:
                 z = z + w_bias @ tcp.deep_biasing_vector(self.emb, valid)

@@ -29,7 +29,7 @@ def make_ptr(p_ptr, p_gen):
 
 def test_query_zero_inputs():
     p = make_params(Stream(1))
-    q = tc.query_aed(p, Tensor(np.zeros(5)), Tensor(np.zeros(4)))
+    q = tc.query(p, Tensor(np.zeros(5)), Tensor(np.zeros(4)))
     assert np.array_equal(q.data, np.zeros(4))
 
 
@@ -38,7 +38,7 @@ def test_query_identity_projection():
     p.wq_c = ad.parameter(np.eye(5))
     p.wq_y = ad.parameter(np.zeros((5, 4)))
     c = Stream(3).gauss_array((5,))
-    q = tc.query_aed(p, Tensor(c), Tensor(np.ones(4)))
+    q = tc.query(p, Tensor(c), Tensor(np.ones(4)))
     assert np.allclose(q.data, c, atol=0, rtol=0)
 
 
@@ -46,7 +46,7 @@ def test_query_matches_manual_matmul():
     p = make_params(Stream(4))
     c = Stream(5).gauss_array((5,))
     y = Stream(6).gauss_array((4,))
-    q = tc.query_aed(p, Tensor(c), Tensor(y))
+    q = tc.query(p, Tensor(c), Tensor(y))
     manual = np.array([
         sum(p.wq_c.data[i, j] * c[j] for j in range(5))
         + sum(p.wq_y.data[i, j] * y[j] for j in range(4))
@@ -58,7 +58,7 @@ def test_query_rnnt_uses_encoder_state_and_batches():
     p = make_params(Stream(7))
     h = Stream(8).gauss_array((6, 5))
     y = Stream(9).gauss_array((4,))
-    q2 = tc.query_rnnt(p, Tensor(h), Tensor(y))
+    q2 = tc.query(p, Tensor(h), Tensor(y))
     assert q2.data.shape == (6, 4)
     for t in range(6):
         q1 = p.wq_c.data @ h[t] + p.wq_y.data @ y
@@ -114,22 +114,41 @@ def test_attention_matches_explicit_logit_oracle():
 
 
 def test_attention_batched_matches_single():
+    """Row t of a call on rows equals the call on row t as a vector, for
+    every pointer function."""
     p = make_params(Stream(17))
     emb = Tensor(Stream(18).gauss_array((9, 4)))
     Q = Stream(19).gauss_array((5, 4))
+    C = Stream(33).gauss_array((5, 5))
+    H = Stream(34).gauss_array((5, 6))
+    y = Tensor(Stream(35).gauss_array((4,)))
     valid = {0, 3, 7}
+    q2 = tc.query(p, Tensor(C), y)
     p2, h2 = tc.ptr_attention(p, Tensor(Q), valid, emb, n_lexical=8)
+    g2, s2 = tc.generation_prob(p, Tensor(H), h2, p2[:, 8])
+    step2 = tc.pointer_step(p, Tensor(Q), valid, emb, Tensor(H), n_lexical=8)
     for t in range(5):
+        q1 = tc.query(p, Tensor(C[t]), y)
         p1, h1 = tc.ptr_attention(p, Tensor(Q[t]), valid, emb, n_lexical=8)
-        assert np.max(np.abs(p2.data[t] - p1.data)) < 1e-12
-        assert np.max(np.abs(h2.data[t] - h1.data)) < 1e-12
+        g1, s1 = tc.generation_prob(p, Tensor(H[t]), h1, p1[8])
+        step1 = tc.pointer_step(p, Tensor(Q[t]), valid, emb, Tensor(H[t]),
+                                n_lexical=8)
+        pairs = [(q2, q1), (p2, p1), (h2, h1), (g2, g1), (s2, s1),
+                 (step2.p_ptr, step1.p_ptr), (step2.h_ptr, step1.h_ptr),
+                 (step2.p_gen, step1.p_gen),
+                 (step2.p_gen_scaled, step1.p_gen_scaled)]
+        for rows, single in pairs:
+            assert rows.data.shape[1:] == single.data.shape
+            assert np.max(np.abs(rows.data[t] - single.data)) < 1e-12
 
 
 def test_attention_rejects_non_lexical_valid_ids():
     p = make_params(Stream(20))
     emb = Tensor(Stream(21).gauss_array((9, 4)))
-    with pytest.raises(ValueError):
-        tc.ptr_attention(p, Tensor(np.zeros(4)), {8}, emb, n_lexical=8)
+    for q in (Tensor(np.zeros(4)), Tensor(np.zeros((3, 4)))):
+        for valid in ({8}, {0, 3, 8}, {-1, 0, 3}):
+            with pytest.raises(ValueError):
+                tc.ptr_attention(p, q, valid, emb, n_lexical=8)
 
 
 # -- generation probability ----------------------------------------------
@@ -269,7 +288,7 @@ def test_gradients_match_finite_differences():
     def build(params, emb):
         c = Tensor(c0)
         hidden = Tensor(hid0)
-        q = tc.query_aed(params, c, emb[0])
+        q = tc.query(params, c, emb[0])
         ptr = tc.pointer_step(params, q, valid, emb, hidden, n_lexical=8)
         p_mdl = ad.softmax(Tensor(Stream(32).gauss_array((9,))))
         out = tc.interpolate_aed(p_mdl, ptr, n_lexical=8)
