@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .lexicon import SubwordVocab, UnsegmentableWord, tokenize_word
+from .lexicon import SubwordVocab, tokenize_word
 from .rng import Stream
 
 LEVELS = ("utterance", "chapter", "book")
@@ -70,7 +70,7 @@ def drop_unsegmentable(vocab: SubwordVocab, words) -> tuple[list[str], list[str]
         try:
             tokenize_word(vocab, w)
             ok.append(w)
-        except (UnsegmentableWord, ValueError):
+        except ValueError:
             bad.append(w)
     return ok, bad
 

@@ -1,30 +1,21 @@
 """Prefix tree over subword-tokenized biasing words, with cursor traversal.
 
 The tree is built once per biasing list and shared read-only.  Each search
-hypothesis carries a tiny `TreeState`: either a node id (an in-progress
-match of some biasing-word prefix) or `DETACHED` (the current in-progress
-word has left the tree; nothing is valid until the next word boundary).
-Segmentation is deterministic, so a single cursor suffices — an in-progress
-word can match at most one tree path.
+hypothesis carries a cursor that is a plain int: a node id (an in-progress
+match of some biasing-word prefix, `ROOT_STATE` at a word boundary) or
+`DETACHED_STATE` (the current in-progress word has left the tree; nothing is
+valid until the next word boundary).  Segmentation is deterministic, so a
+single cursor suffices — an in-progress word can match at most one tree
+path.  `valid_set` returns the valid ids as a new ascending list; it is the
+one place where valid-set order is decided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .lexicon import SubwordVocab, tokenize_word
 
-from .lexicon import SubwordVocab, UnsegmentableWord, tokenize_word
-
-DETACHED = -1
-ROOT = 0
-
-
-@dataclass(frozen=True)
-class TreeState:
-    node: int
-
-
-ROOT_STATE = TreeState(ROOT)
-DETACHED_STATE = TreeState(DETACHED)
+ROOT_STATE = 0
+DETACHED_STATE = -1
 
 
 class PrefixTree:
@@ -50,9 +41,9 @@ def build_tree(vocab: SubwordVocab, words) -> PrefixTree:
     for word in sorted(set(words)):
         try:
             ids = tokenize_word(vocab, word).ids
-        except (UnsegmentableWord, ValueError):
+        except ValueError:
             continue
-        node = children[ROOT]
+        node = children[ROOT_STATE]
         for sid in ids:
             nxt = node.get(sid)
             if nxt is None:
@@ -62,14 +53,15 @@ def build_tree(vocab: SubwordVocab, words) -> PrefixTree:
     return tree
 
 
-def valid_set(tree: PrefixTree, state: TreeState) -> set[int]:
-    """Subword ids that extend the current in-progress biasing-word prefix."""
-    if state.node == DETACHED:
-        return set()
-    return set(tree.children[state.node].keys())
+def valid_set(tree: PrefixTree, state: int) -> list[int]:
+    """Subword ids that extend the current in-progress biasing-word prefix,
+    ascending."""
+    if state == DETACHED_STATE:
+        return []
+    return sorted(tree.children[state])
 
 
-def advance_state(tree: PrefixTree, state: TreeState, emitted: int) -> TreeState:
+def advance_state(tree: PrefixTree, state: int, emitted: int) -> int:
     """Cursor transition on an emitted lexical subword.
 
     On-tree moves follow the child edge; a word-final unit always returns
@@ -79,9 +71,9 @@ def advance_state(tree: PrefixTree, state: TreeState, emitted: int) -> TreeState
     if emitted >= len(tree.word_final) or emitted < 0:
         raise ValueError(f"non-lexical id {emitted} in tree traversal")
     final = tree.word_final[emitted]
-    if state.node != DETACHED:
-        child = tree.children[state.node].get(emitted)
+    if state != DETACHED_STATE:
+        child = tree.children[state].get(emitted)
         if child is not None:
-            return ROOT_STATE if final else TreeState(child)
+            return ROOT_STATE if final else child
     return ROOT_STATE if final else DETACHED_STATE
 

@@ -1,5 +1,10 @@
 """Beam-search inference for both model families with per-hypothesis tree
-states, optional shallow fusion with a subword bigram LM, and n-best output.
+cursors, optional shallow fusion with a subword bigram LM, and n-best output.
+
+A hypothesis's search state is plain values: its tokens, its score, its
+model state, and its tree cursor, a node id of the biasing tree (see
+`biasing_tree`) whose valid ids come as an ascending list.  The LM context
+is not stored: it is the hypothesis's last token, or SOS when it is empty.
 
 The encoder-decoder search is label-synchronous; the transducer search is
 time-synchronous with a per-frame emission cap, merging duplicate label
@@ -7,7 +12,7 @@ sequences by log-sum-exp.  Both share one expansion step that builds
 survivors only: each frontier hypothesis adds its log-probs (LM-fused when
 an LM is set) to its score as one row of an (F, L) label matrix, the top
 `beam` entries are taken, and only those get a `Hypothesis`, a tree-cursor
-and LM advance, and a child model state (the encoder-decoder reuses the
+advance, and a child model state (the encoder-decoder reuses the
 parent's decoder step; the transducer steps its predictor).  The work per
 step thus grows with the beam, not with beam x vocabulary.  A model
 without biasing decodes with no tree.  All searches run without gradient
@@ -24,8 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .biasing_tree import (PrefixTree, ROOT_STATE, TreeState, advance_state,
-                           valid_set)
+from .biasing_tree import PrefixTree, ROOT_STATE, advance_state, valid_set
 from .lexicon import SubwordVocab, TokenSeq, detokenize
 
 
@@ -52,8 +56,7 @@ class Hypothesis:
     tokens: tuple[int, ...]
     log_score: float
     model_state: object
-    tree_state: TreeState
-    lm_state: int | None = None
+    tree_state: int
     hit_max_len: bool = False
 
     def sort_key(self):
@@ -68,15 +71,9 @@ class BigramLM:
         self.logp = logp          # (L+1 contexts, L+1 targets)
         self.n_lexical = n_lexical
 
-    def initial_state(self) -> int:
-        return self.n_lexical     # SOS context row
-
-    def advance(self, state: int, token: int) -> int:
-        return token
-
-    def log_prob_vector(self, state: int) -> np.ndarray:
-        """Log P(. | state) over lexical targets + EOS (last slot)."""
-        return self.logp[state]
+    def log_prob_vector(self, context: int) -> np.ndarray:
+        """Log P(. | context) over lexical targets + EOS (last slot)."""
+        return self.logp[context]
 
 
 def train_bigram_lm(token_seqs, vocab: SubwordVocab) -> BigramLM:
@@ -96,7 +93,7 @@ def train_bigram_lm(token_seqs, vocab: SubwordVocab) -> BigramLM:
     return BigramLM(logp, L)
 
 
-def fuse_lm(step_logprob: np.ndarray, lm: BigramLM, lm_state: int,
+def fuse_lm(step_logprob: np.ndarray, lm: BigramLM, context: int,
             lam: float, include_eos: bool) -> np.ndarray:
     """Log-linear combination of model and LM scores.
 
@@ -106,7 +103,7 @@ def fuse_lm(step_logprob: np.ndarray, lm: BigramLM, lm_state: int,
     """
     if lam < 0:
         raise ValueError("LM weight must be >= 0")
-    lmvec = lm.log_prob_vector(lm_state)
+    lmvec = lm.log_prob_vector(context)
     out = step_logprob.copy()
     L = lm.n_lexical
     out[:L] += lam * lmvec[:L]
@@ -115,14 +112,13 @@ def fuse_lm(step_logprob: np.ndarray, lm: BigramLM, lm_state: int,
     return out
 
 
-def _start(model_state, lm: BigramLM | None) -> Hypothesis:
+def _start(model_state) -> Hypothesis:
     return Hypothesis(tokens=(), log_score=0.0, model_state=model_state,
-                      tree_state=ROOT_STATE,
-                      lm_state=lm.initial_state() if lm else None)
+                      tree_state=ROOT_STATE)
 
 
-def _valid(tree: PrefixTree | None, hyp: Hypothesis) -> set[int]:
-    return set() if tree is None else valid_set(tree, hyp.tree_state)
+def _valid(tree: PrefixTree | None, hyp: Hypothesis) -> list[int]:
+    return [] if tree is None else valid_set(tree, hyp.tree_state)
 
 
 def _log_probs(p: np.ndarray, hyp: Hypothesis, lm: BigramLM | None,
@@ -131,7 +127,8 @@ def _log_probs(p: np.ndarray, hyp: Hypothesis, lm: BigramLM | None,
     with np.errstate(divide="ignore"):
         logp = np.log(p)
     if lm is not None and cfg.lm_weight > 0:
-        logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight, include_eos)
+        context = hyp.tokens[-1] if hyp.tokens else lm.n_lexical
+        logp = fuse_lm(logp, lm, context, cfg.lm_weight, include_eos)
     return logp
 
 
@@ -157,11 +154,10 @@ def _top_labels(scores: np.ndarray, prefixes: list[tuple[int, ...]],
 
 
 def _survivors(frontier: list[Hypothesis], rows: list[np.ndarray], k: int,
-               tree: PrefixTree | None, lm: BigramLM | None,
-               child_state) -> list[Hypothesis]:
+               tree: PrefixTree | None, child_state) -> list[Hypothesis]:
     """The k best one-label extensions of `frontier`, where rows[i] holds
     frontier[i]'s score plus each lexical label's log-prob.  Only these
-    survivors get a tree-cursor advance, an LM advance and the model state
+    survivors get a tree-cursor advance and the model state
     `child_state(i, label)`."""
     out = []
     for row, sym, score in _top_labels(np.stack(rows),
@@ -171,8 +167,7 @@ def _survivors(frontier: list[Hypothesis], rows: list[np.ndarray], k: int,
             tokens=parent.tokens + (sym,), log_score=score,
             model_state=child_state(row, sym),
             tree_state=(parent.tree_state if tree is None
-                        else advance_state(tree, parent.tree_state, sym)),
-            lm_state=lm.advance(parent.lm_state, sym) if lm else None))
+                        else advance_state(tree, parent.tree_state, sym))))
     return out
 
 
@@ -192,7 +187,7 @@ def beam_search_aed(model, features: np.ndarray, tree: PrefixTree | None,
         tree = None
     with ad.no_grad():
         h_enc = model.encode(features)
-        active = [_start(model.init_state(), lm)]
+        active = [_start(model.init_state())]
         finished: list[Hypothesis] = []
         for _ in range(cfg.max_len):
             if not active:
@@ -208,7 +203,7 @@ def beam_search_aed(model, features: np.ndarray, tree: PrefixTree | None,
                     finished.append(replace(hyp, log_score=eos_score))
                 rows.append(hyp.log_score + logp[:L])
                 states.append(new_state)
-            active = _survivors(active, rows, cfg.beam, tree, lm,
+            active = _survivors(active, rows, cfg.beam, tree,
                                 lambda row, sym: states[row])
             if len(finished) >= cfg.beam:
                 finished.sort(key=Hypothesis.sort_key)
@@ -238,8 +233,7 @@ def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
         h_enc = model.encode(features)
         T = h_enc.data.shape[0]
         frame_rows = [Tensor(h_enc.data[t:t + 1]) for t in range(T)]
-        beam = [_start(model.predictor_step(model.init_pred_state(), vocab.sos),
-                       lm)]
+        beam = [_start(model.predictor_step(model.init_pred_state(), vocab.sos))]
         for t in range(T):
             merged: dict[tuple[int, ...], Hypothesis] = {}
             frontier = beam
@@ -261,7 +255,7 @@ def beam_search_rnnt(model, features: np.ndarray, tree: PrefixTree | None,
                 if s == cfg.max_symbols_per_frame:
                     break
                 frontier = _survivors(
-                    frontier, rows, cfg.beam, tree, lm,
+                    frontier, rows, cfg.beam, tree,
                     lambda row, sym: model.predictor_step(frontier[row].model_state,
                                                           sym))
                 if not frontier:

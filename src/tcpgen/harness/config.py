@@ -120,9 +120,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 POSITIVE_KEYS = ("beam", "epochs", "batch_size", "hidden", "emb_dim", "attn_dim",
                  "attn_val_dim", "encoder_stride", "max_len", "corpus_train",
-                 "corpus_test", "lr")
+                 "corpus_test", "corpus_rare_words", "corpus_min_words",
+                 "corpus_chapter_utts", "corpus_book_chapters", "lr")
 NON_NEGATIVE_KEYS = ("lm_weight", "max_symbols_per_frame", "train_distractors",
-                     "list_distractors")
+                     "list_distractors", "corpus_rare_occurrences")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -145,6 +146,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("variants must not be empty")
     if not 0.0 <= cfg.drop_rate <= 1.0:
         raise ConfigError("drop_rate must lie in [0, 1]")
+    if cfg.corpus_words <= cfg.corpus_rare_words:
+        raise ConfigError("corpus_words must exceed corpus_rare_words")
+    if cfg.corpus_min_words > cfg.corpus_max_words:
+        raise ConfigError("corpus_min_words must be <= corpus_max_words")
     if cfg.corpus_rare_occurrences * cfg.corpus_rare_words > cfg.corpus_train:
         raise ConfigError("not enough training utterances for rare-word slots")
     if cfg.corpus_frames_min < 1 or cfg.corpus_frames_max < cfg.corpus_frames_min:

@@ -183,8 +183,6 @@ def write_corpus(corpus: SyntheticCorpus, out_dir: str) -> None:
     def path(name):
         return os.path.join(out_dir, name)
 
-    with open(path("vocab.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(corpus.vocab.units) + "\n")
     with open(path("lexicon.tsv"), "w", encoding="utf-8") as f:
         for w in corpus.common_words:
             f.write(f"{w}\tcommon\n")
@@ -203,6 +201,9 @@ def write_corpus(corpus: SyntheticCorpus, out_dir: str) -> None:
             ix = corpus.index[u]
             f.write(f"{u}\t{ix.book_id}\t{ix.chapter_id}\t"
                     f"{ix.start_line}\t{ix.end_line}\n")
+    # written last: its presence marks the corpus complete (stage_data)
+    with open(path("vocab.txt"), "w", encoding="utf-8") as f:
+        f.write("\n".join(corpus.vocab.units) + "\n")
 
 
 def load_corpus(data_dir: str) -> SyntheticCorpus:

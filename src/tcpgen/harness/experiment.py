@@ -132,8 +132,6 @@ def stage_lists(cfg: ExperimentConfig, corpus: SyntheticCorpus,
             log(f"lists: {level}-level done, coverage {cov:.4f}")
             out[level] = lists
         return out
-    except StageError:
-        raise
     except Exception as e:
         raise StageError("build-lists", e) from e
 
@@ -200,8 +198,6 @@ def stage_train(cfg: ExperimentConfig, corpus: SyntheticCorpus,
                             config_text=cfg.canonical_text())
             log(f"train: {cfg.family}/{variant} done in {time.time() - t0:.1f}s")
         return losses
-    except StageError:
-        raise
     except Exception as e:
         raise StageError("train", e) from e
 
@@ -270,8 +266,6 @@ def stage_decode(cfg: ExperimentConfig, corpus: SyntheticCorpus,
                                                           hyps[u]))
                     log(f"decode: {variant}/{level} done in "
                         f"{time.time() - t0:.1f}s")
-    except StageError:
-        raise
     except Exception as e:
         raise StageError("decode", e) from e
 
@@ -327,8 +321,6 @@ def stage_score(cfg: ExperimentConfig, corpus: SyntheticCorpus,
                   encoding="utf-8") as f:
             f.write(table)
         return result
-    except StageError:
-        raise
     except Exception as e:
         raise StageError("score", e) from e
 

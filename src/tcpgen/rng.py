@@ -103,6 +103,8 @@ class Stream:
         Partial Fisher-Yates, swap i taking i + randint(n - i); the k draws
         are one uint64 array (splitmix64 wraps mod 2^64 as on Python ints).
         """
+        if k < 0:
+            raise ValueError("sample size must be >= 0")
         items = list(seq)
         n = len(items)
         k = min(k, n)

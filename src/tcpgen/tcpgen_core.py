@@ -99,21 +99,21 @@ def query(params: TCPGenParams, ctx: Tensor, y_prev_emb: Tensor) -> Tensor:
     return ctx @ ad.transpose(params.wq_c) + params.wq_y @ y_prev_emb
 
 
-def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
+def ptr_attention(params: TCPGenParams, query: Tensor, valid: list[int],
                   embeddings: Tensor, n_lexical: int) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention restricted to valid ∪ {OOL}.
 
-    Returns (p_ptr, h_ptr) for a (..., d) query.  An empty valid set is
-    legal: the softmax runs over OOL alone, so p_ptr[..., OOL] = 1 and h_ptr
-    is the OOL value vector.
+    Returns (p_ptr, h_ptr) for a (..., d) query; the attention columns
+    follow the order of `valid`, then OOL.  An empty valid set is legal:
+    the softmax runs over OOL alone, so p_ptr[..., OOL] = 1 and h_ptr is
+    the OOL value vector.
     """
-    support = sorted(valid)
-    if support and (support[0] < 0 or support[-1] >= n_lexical):
+    if valid and (min(valid) < 0 or max(valid) >= n_lexical):
         raise ValueError("valid set must contain lexical ids only")
     k_ool = ad.reshape(params.wk @ params.ool_emb, (1, -1))
     v_ool = ad.reshape(params.wv @ params.ool_emb, (1, -1))
-    if support:
-        rows = embeddings[support]
+    if valid:
+        rows = embeddings[valid]
         keys = ad.cat([rows @ ad.transpose(params.wk), k_ool])
         vals = ad.cat([rows @ ad.transpose(params.wv), v_ool])
     else:
@@ -121,7 +121,7 @@ def ptr_attention(params: TCPGenParams, query: Tensor, valid: set[int],
     scale = 1.0 / math.sqrt(params.d)
     logits = (query @ ad.transpose(keys)) * scale
     attn = ad.softmax(logits, axis=-1)
-    p_ptr = ad.scatter(attn, support + [n_lexical], n_lexical + 1)
+    p_ptr = ad.scatter(attn, valid + [n_lexical], n_lexical + 1)
     h_ptr = attn @ vals
     return p_ptr, h_ptr
 
@@ -134,7 +134,7 @@ def generation_prob(params: TCPGenParams, hidden: Tensor, h_ptr: Tensor,
     return p_gen, p_gen * (1.0 - p_ool)
 
 
-def pointer_step(params: TCPGenParams, query: Tensor, valid: set[int],
+def pointer_step(params: TCPGenParams, query: Tensor, valid: list[int],
                  embeddings: Tensor, hidden: Tensor, n_lexical: int) -> PtrStep:
     """Full pointer evaluation: attention, output vector, generation prob,
     for a (..., d) query and a (..., hidden) state of equal leading shape."""
@@ -172,8 +172,8 @@ def interpolate_rnnt(p_mdl: Tensor, ptr: PtrStep, n_lexical: int) -> Tensor:
     return ad.cat([lex, ad.reshape(blank, (T, 1))], axis=1)
 
 
-def deep_biasing_vector(embeddings: Tensor, valid: set[int]) -> Tensor:
+def deep_biasing_vector(embeddings: Tensor, valid: list[int]) -> Tensor:
     """Sum of embedding rows over the valid set; zero vector when empty."""
     if not valid:
         return Tensor(np.zeros(embeddings.data.shape[1]))
-    return ad.tsum(embeddings[sorted(valid)], axis=0)
+    return ad.tsum(embeddings[valid], axis=0)

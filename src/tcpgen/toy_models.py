@@ -162,7 +162,7 @@ class ToyModel:
             tree = None
         y_prev, cursor = self.vocab.sos, ROOT_STATE
         for u in range(len(targets) + 1):
-            yield y_prev, (set() if tree is None else valid_set(tree, cursor))
+            yield y_prev, ([] if tree is None else valid_set(tree, cursor))
             if u < len(targets):
                 y_prev = targets[u]
                 if tree is not None:
@@ -204,7 +204,7 @@ class ToyAED(ToyModel):
         """Decoder state: (hidden vector, attention center position)."""
         return (Tensor(np.zeros(self.cfg.hidden)), Tensor(np.array(-0.5)))
 
-    def step(self, h_enc: Tensor, state, y_prev: int, valid: set[int]):
+    def step(self, h_enc: Tensor, state, y_prev: int, valid: list[int]):
         """One decoder step; returns (output distribution, new state, ptr).
 
         `valid` is the current tree valid set; the baseline ignores it.
@@ -285,7 +285,7 @@ class ToyRNNT(ToyModel):
         return ad.tanh(self.w_pred @ ad.cat([y_emb, state]) + self.b_pred)
 
     def joint_rows(self, h_pred: Tensor, h_enc: Tensor, y_prev: int,
-                   valid: set[int]) -> tuple[Tensor, tcp.PtrStep | None]:
+                   valid: list[int]) -> tuple[Tensor, tcp.PtrStep | None]:
         """Joint distribution for one predictor state across encoder rows.
 
         h_enc is (T, hidden); returns (T, L+1) probabilities with the blank

@@ -115,7 +115,8 @@ def tree_words(vocab: SubwordVocab, tree) -> list[str]:
 
 def oracle_valid_set(word_token_seqs, emitted, word_final):
     """Naive matcher: longest suffix of tokens since the last word-final
-    unit, matched against every biasing word's token-sequence prefixes."""
+    unit, matched against every biasing word's token-sequence prefixes.
+    Returns the valid ids as an ascending list."""
     prefix = []
     for tok in emitted:
         if word_final[tok]:
@@ -126,7 +127,7 @@ def oracle_valid_set(word_token_seqs, emitted, word_final):
     for seq in word_token_seqs:
         if len(seq) > len(prefix) and list(seq[:len(prefix)]) == prefix:
             valid.add(seq[len(prefix)])
-    return valid
+    return sorted(valid)
 
 
 def random_tree_case(stream, max_words: int = 50, max_stream: int = 100):
@@ -225,16 +226,21 @@ def enumerate_rnnt_marginals(table, T: int, n_lexical: int, cap: int):
     return out
 
 
+def lm_context(lm, tokens):
+    """Bigram context of a token prefix: its last token, or SOS when empty."""
+    return tokens[-1] if tokens else lm.n_lexical
+
+
 def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
     """The transducer beam search that expands every label of every
-    frontier hypothesis before pruning (predictor step, tree and LM advance
-    for all of them).  Reference for the survivors-only search, which must
+    frontier hypothesis before pruning (predictor step and tree advance for
+    all of them).  Reference for the survivors-only search, which must
     return the same n-best bit for bit."""
     vocab = model.vocab
     L = vocab.n_lexical
     biasing = model.cfg.variant != "baseline"
     if not biasing or tree is None:
-        get_valid, advance = (lambda st: set()), (lambda st, tok: st)
+        get_valid, advance = (lambda st: []), (lambda st, tok: st)
     else:
         get_valid = lambda st: valid_set(tree, st)              # noqa: E731
         advance = lambda st, tok: advance_state(tree, st, tok)  # noqa: E731
@@ -245,8 +251,7 @@ def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
         init = Hypothesis(tokens=(), log_score=0.0,
                           model_state=model.predictor_step(model.init_pred_state(),
                                                            vocab.sos),
-                          tree_state=ROOT_STATE,
-                          lm_state=lm.initial_state() if lm else None)
+                          tree_state=ROOT_STATE)
         beam = [init]
         for t in range(T):
             merged: dict[tuple[int, ...], Hypothesis] = {}
@@ -268,8 +273,8 @@ def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
                     if s == cfg.max_symbols_per_frame:
                         continue
                     if lm is not None and cfg.lm_weight > 0:
-                        logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
-                                       include_eos=False)
+                        logp = fuse_lm(logp, lm, lm_context(lm, hyp.tokens),
+                                       cfg.lm_weight, include_eos=False)
                     for sym in range(L):
                         score = hyp.log_score + logp[sym]
                         if score == -math.inf:
@@ -277,9 +282,7 @@ def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
                         expansions.append(Hypothesis(
                             tokens=hyp.tokens + (sym,), log_score=score,
                             model_state=model.predictor_step(hyp.model_state, sym),
-                            tree_state=advance(hyp.tree_state, sym),
-                            lm_state=(lm.advance(hyp.lm_state, sym)
-                                      if lm else None)))
+                            tree_state=advance(hyp.tree_state, sym)))
                 expansions.sort(key=Hypothesis.sort_key)
                 frontier = expansions[:cfg.beam]
                 if not frontier:
@@ -289,15 +292,15 @@ def reference_beam_search_rnnt(model, features, tree, cfg, lm=None):
 
 
 def reference_beam_search_aed(model, features, tree, cfg, lm=None):
-    """The encoder-decoder beam search that builds a hypothesis (tree and
-    LM advance included) for every finite label of every active hypothesis
+    """The encoder-decoder beam search that builds a hypothesis (tree
+    advance included) for every finite label of every active hypothesis
     before pruning.  Reference for the survivors-only search, which must
     return the same n-best bit for bit."""
     vocab = model.vocab
     L = vocab.n_lexical
     biasing = model.cfg.variant != "baseline"
     if not biasing or tree is None:
-        get_valid, advance = (lambda st: set()), (lambda st, tok: st)
+        get_valid, advance = (lambda st: []), (lambda st, tok: st)
     else:
         get_valid = lambda st: valid_set(tree, st)              # noqa: E731
         advance = lambda st, tok: advance_state(tree, st, tok)  # noqa: E731
@@ -305,8 +308,7 @@ def reference_beam_search_aed(model, features, tree, cfg, lm=None):
         h_enc = model.encode(features)
         init = Hypothesis(tokens=(), log_score=0.0,
                           model_state=model.init_state(),
-                          tree_state=ROOT_STATE,
-                          lm_state=lm.initial_state() if lm else None)
+                          tree_state=ROOT_STATE)
         active = [init]
         finished: list[Hypothesis] = []
         for _ in range(cfg.max_len):
@@ -320,8 +322,8 @@ def reference_beam_search_aed(model, features, tree, cfg, lm=None):
                 with np.errstate(divide="ignore"):
                     logp = np.log(p.data)
                 if lm is not None and cfg.lm_weight > 0:
-                    logp = fuse_lm(logp, lm, hyp.lm_state, cfg.lm_weight,
-                                   include_eos=True)
+                    logp = fuse_lm(logp, lm, lm_context(lm, hyp.tokens),
+                                   cfg.lm_weight, include_eos=True)
                 for sym in range(L + 1):
                     score = hyp.log_score + logp[sym]
                     if score == -math.inf:
@@ -332,9 +334,7 @@ def reference_beam_search_aed(model, features, tree, cfg, lm=None):
                         cands.append(Hypothesis(
                             tokens=hyp.tokens + (sym,), log_score=score,
                             model_state=new_state,
-                            tree_state=advance(hyp.tree_state, sym),
-                            lm_state=(lm.advance(hyp.lm_state, sym)
-                                      if lm else None)))
+                            tree_state=advance(hyp.tree_state, sym)))
             cands.sort(key=Hypothesis.sort_key)
             active = cands[:cfg.beam]
             if len(finished) >= cfg.beam:

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcpgen.biasing_tree import (DETACHED_STATE, ROOT_STATE, TreeState,
-                                 advance_state, build_tree, valid_set)
+from tcpgen.biasing_tree import (DETACHED_STATE, ROOT_STATE, advance_state,
+                                 build_tree, valid_set)
 from tcpgen.lexicon import SubwordVocab, UnsegmentableWord, tokenize_word
 
 from helpers import oracle_valid_set, random_tree_case, tree_words
@@ -17,9 +17,9 @@ def ids(*units):
 def test_three_word_tree_structure():
     # {TURN, TURNER, TURIN}: root -> TUR -> {N_ (end), NER_ (end), IN_ (end)}
     tree = build_tree(FIG_VOCAB, ["TURN", "TURNER", "TURIN"])
-    assert valid_set(tree, ROOT_STATE) == set(ids("TUR"))
+    assert valid_set(tree, ROOT_STATE) == ids("TUR")
     after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("TUR"))
-    assert valid_set(tree, after_tur) == set(ids("N_", "NER_", "IN_"))
+    assert valid_set(tree, after_tur) == ids("N_", "NER_", "IN_")
     assert tree_words(FIG_VOCAB, tree) == ["TURIN", "TURN", "TURNER"]
 
 
@@ -27,13 +27,13 @@ def test_two_word_tree_valid_pieces_after_tur():
     # with previous output TUR, n_ and in_ are the two valid word pieces
     tree = build_tree(FIG_VOCAB, ["TURN", "TURIN"])
     after_tur = advance_state(tree, ROOT_STATE, FIG_VOCAB.units.index("TUR"))
-    assert valid_set(tree, after_tur) == set(ids("N_", "IN_"))
+    assert valid_set(tree, after_tur) == ids("N_", "IN_")
 
 
 def test_empty_list_gives_root_only_tree():
     tree = build_tree(FIG_VOCAB, [])
     assert len(tree.children) == 1
-    assert valid_set(tree, ROOT_STATE) == set()
+    assert valid_set(tree, ROOT_STATE) == []
 
 
 def test_duplicates_collapse():
@@ -74,7 +74,7 @@ def test_off_tree_word_internal_detaches_and_stays():
     tree = build_tree(v, ["TURN"])
     st1 = advance_state(tree, ROOT_STATE, v.units.index("X"))
     assert st1 == DETACHED_STATE
-    assert valid_set(tree, st1) == set()
+    assert valid_set(tree, st1) == []
     st2 = advance_state(tree, st1, v.units.index("TUR"))
     assert st2 == DETACHED_STATE
     # word boundary reattaches

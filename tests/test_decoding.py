@@ -14,7 +14,8 @@ from tcpgen.lexicon import SubwordVocab
 from tcpgen.rng import Stream
 
 from helpers import (FakeAED, FakeRNNT, TINY_VOCAB, copy_shared_weights,
-                     enumerate_rnnt_marginals, reference_beam_search_aed,
+                     enumerate_rnnt_marginals, lm_context,
+                     reference_beam_search_aed,
                      reference_beam_search_rnnt, tiny_model)
 
 V2 = SubwordVocab(["A_", "B_"])   # 2 lexical units
@@ -43,22 +44,21 @@ def enumerate_aed(model, feats, max_len, lm=None, lam=0.0):
     with ad.no_grad():
         h_enc = model.encode(feats)
 
-        def rec(state, y_prev, tokens, score, lm_state):
-            p, new_state, _ = model.step(h_enc, state, y_prev, set())
+        def rec(state, y_prev, tokens, score):
+            p, new_state, _ = model.step(h_enc, state, y_prev, [])
             with np.errstate(divide="ignore"):
                 logp = np.log(p.data)
             if lm is not None:
-                logp = fuse_lm(logp, lm, lm_state, lam, include_eos=True)
+                logp = fuse_lm(logp, lm, lm_context(lm, tokens), lam,
+                               include_eos=True)
             results[tuple(tokens)] = score + logp[L]
             if len(tokens) < max_len - 1:
                 for sym in range(L):
                     if logp[sym] == -math.inf:
                         continue
-                    rec(new_state, sym, tokens + [sym], score + logp[sym],
-                        lm.advance(lm_state, sym) if lm else None)
+                    rec(new_state, sym, tokens + [sym], score + logp[sym])
 
-        rec(model.init_state(), model.vocab.sos, [], 0.0,
-            lm.initial_state() if lm else None)
+        rec(model.init_state(), model.vocab.sos, [], 0.0)
     return results
 
 
@@ -143,7 +143,7 @@ def test_rnnt_real_model_top1_matches_enumeration():
                 key = tuple(tokens)
                 out[key] = np.logaddexp(out[key], acc) if key in out else acc
                 return
-            p, _ = m.joint_rows(state, rows[t], y_prev, set())
+            p, _ = m.joint_rows(state, rows[t], y_prev, [])
             logp = np.log(p.data[0])
             rec(t + 1, 0, state, y_prev, tokens, acc + logp[L])
             if this_frame < cap:
@@ -161,7 +161,7 @@ def test_rnnt_real_model_top1_matches_enumeration():
 # -- survivors-only searches vs the full-expansion references ---------------
 
 def nbest_fields(hyps):
-    return [(h.tokens, h.log_score, h.tree_state, h.lm_state, h.hit_max_len)
+    return [(h.tokens, h.log_score, h.tree_state, h.hit_max_len)
             for h in hyps]
 
 
@@ -356,7 +356,7 @@ def test_bigram_lm_hand_counts():
     # from context 0: pairs (0->1), (0->0); row counts = [2, 2, 2] -> 1/3 each
     assert lm.log_prob_vector(0)[0] == pytest.approx(math.log(1 / 3))
     # SOS row: starts 0, 0, 1 -> counts [3, 2, 1] / 6
-    sos = lm.initial_state()
+    sos = lm.n_lexical   # SOS context row
     assert lm.log_prob_vector(sos)[0] == pytest.approx(math.log(3 / 6))
     assert lm.log_prob_vector(sos)[1] == pytest.approx(math.log(2 / 6))
     # context 1: one EOS ending after [0,1], one after [1] -> counts [1,1,3]/5

@@ -9,7 +9,8 @@ from tcpgen.harness.checkpoint import (CheckpointError, load_checkpoint,
 from tcpgen.harness.config import (ConfigError, ExperimentConfig, parse_config)
 from tcpgen.harness.corpus import (SYLLABLES, build_vocab_text, chapter_span,
                                    generate_corpus, load_corpus, write_corpus)
-from tcpgen.harness import cli
+from tcpgen.harness import cli, corpus as corpus_mod
+from tcpgen.harness.experiment import StageError, run_paths, stage_data
 from tcpgen.lexicon import tokenize_sentence
 from tcpgen.rng import Stream
 
@@ -51,14 +52,19 @@ def test_parse_config_rejects_bad_values():
         parse_config("drop_rate = 1.5\n")
     for key in ("beam", "epochs", "batch_size", "hidden", "emb_dim", "attn_dim",
                 "attn_val_dim", "encoder_stride", "max_len", "corpus_train",
-                "corpus_test", "lr"):
+                "corpus_test", "corpus_rare_words", "corpus_min_words",
+                "corpus_chapter_utts", "corpus_book_chapters", "lr"):
         for value in ("0", "-1"):
             with pytest.raises(ConfigError, match=f"{key} must be > 0"):
                 parse_config(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match="corpus_words must exceed"):
+        parse_config("corpus_words = 30\ncorpus_rare_words = 30\n")
+    with pytest.raises(ConfigError, match="corpus_min_words must be <="):
+        parse_config("corpus_min_words = 5\ncorpus_max_words = 4\n")
     with pytest.raises(ConfigError, match="lr must be > 0"):
         parse_config("lr = nan\n")
     for key in ("lm_weight", "max_symbols_per_frame", "train_distractors",
-                "list_distractors"):
+                "list_distractors", "corpus_rare_occurrences"):
         with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
             parse_config(f"{key} = -1\n")
         parse_config(f"{key} = 0\n")
@@ -190,6 +196,35 @@ def test_corpus_write_load_and_determinism(tmp_path):
     # different seed -> different transcripts
     c3 = generate_corpus(cfg, seed=8)
     assert c3.train != c1.train
+
+
+def test_stage_data_regenerates_after_interrupted_write(tmp_path, monkeypatch):
+    """A corpus whose write failed part-way is not loaded as complete."""
+    cfg = small_cfg()
+    paths = run_paths(cfg, str(tmp_path))
+    calls = []
+
+    def failing_save(tensors, path, **kw):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return save_checkpoint(tensors, path, **kw)
+
+    monkeypatch.setattr(corpus_mod, "save_checkpoint", failing_save)
+    with pytest.raises(StageError) as info:
+        stage_data(cfg, paths)
+    assert info.value.stage == "gen-data"
+    monkeypatch.undo()
+    got = stage_data(cfg, paths)
+    fresh = generate_corpus(cfg, cfg.seed)
+    for c in (got, load_corpus(paths.data)):
+        assert c.train == fresh.train and c.test == fresh.test
+        assert c.rare_words == fresh.rare_words
+        assert c.book_lines == fresh.book_lines
+        for u in fresh.train:
+            assert np.array_equal(c.train_feats[u], fresh.train_feats[u])
+        for u in fresh.test:
+            assert np.array_equal(c.test_feats[u], fresh.test_feats[u])
 
 
 def test_chapter_span_covers_whole_chapter():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tcpgen.rng import Stream, derive_seed, hash_bytes, mix64
 
@@ -62,6 +63,8 @@ def test_sample_and_shuffle_deterministic():
     picked = s.sample(range(100), 10)
     assert len(set(picked)) == 10
     assert sorted(s.sample(range(3), 10)) == [0, 1, 2]  # capped at pool size
+    with pytest.raises(ValueError):
+        Stream(1).sample([1, 2, 3, 4], -1)
     t = Stream(5)
     assert t.sample(range(100), 10) == picked
     items = list(range(20))

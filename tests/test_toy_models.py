@@ -81,7 +81,7 @@ def test_aed_step_distribution_sums_to_one(variant):
     state = m.init_state()
     tree_state = ROOT_STATE
     for tok in [0, 2, 1]:
-        valid = valid_set(tree, tree_state) if variant != "baseline" else set()
+        valid = valid_set(tree, tree_state) if variant != "baseline" else []
         p, state, _ = m.step(h_enc, state, tok, valid)
         assert abs(p.data.sum() - 1.0) < 1e-9
         assert np.all(p.data >= 0)
@@ -94,7 +94,7 @@ def test_rnnt_joint_distribution_sums_to_one(variant):
     tree = build_tree(TINY_VOCAB, ["KATO", "TORI"])
     h_enc = m.encode(Stream(10).gauss_array((4, 2)))
     h_pred = m.predictor_step(m.init_pred_state(), TINY_VOCAB.sos)
-    valid = valid_set(tree, ROOT_STATE) if variant != "baseline" else set()
+    valid = valid_set(tree, ROOT_STATE) if variant != "baseline" else []
     p, _ = m.joint_rows(h_pred, h_enc, TINY_VOCAB.sos, valid)
     sums = p.data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
@@ -116,9 +116,9 @@ def test_empty_tree_inertness_vs_baseline(family, variant):
     assert abs(l0 - l1) < 1e-9
     if family == "aed":
         h0 = base.encode(feats)
-        p0, _, _ = base.step(h0, base.init_state(), TINY_VOCAB.sos, set())
+        p0, _, _ = base.step(h0, base.init_state(), TINY_VOCAB.sos, [])
         p1, _, _ = biased.step(biased.encode(feats), biased.init_state(),
-                               TINY_VOCAB.sos, set())
+                               TINY_VOCAB.sos, [])
         assert np.max(np.abs(p0.data - p1.data)) < 1e-12
 
 
@@ -185,7 +185,7 @@ def test_rnnt_lattice_matches_hand_replayed_joint_rows():
         if u < len(targets):
             tree_state = advance_state(tree, tree_state, targets[u])
             y_prev = targets[u]
-    assert valids == [{0}, set(), {0}, {3, 4}, {0}]
+    assert valids == [[0], [], [0], [3, 4], [0]]
 
 
 # -- transducer loss -------------------------------------------------------
